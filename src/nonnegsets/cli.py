@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from . import ekrshift, hallflow, matching, nonneg, setcore
-from .setcore import FileFormatError, SetFamily, Subset
+from .setcore import FileFormatError, SetFamily
 
 __all__ = ["main", "build_parser"]
 
@@ -40,10 +40,6 @@ class Outcome:
     result: dict[str, Any]
     text: list[str]
     seed: int | None = None
-
-
-def _subset_str(s: Subset) -> str:
-    return str(s)
 
 
 def _family_list(family: SetFamily) -> list[str]:
@@ -118,7 +114,7 @@ def cmd_verify(args: argparse.Namespace) -> Outcome:
             f"theorem 3 n={args.n} k={args.k}: "
             f"{'PASS' if passed else 'FAIL'} (oracle={oracle.size}, closed form={closed})"
         ]
-        return Outcome(EXIT_OK if passed else EXIT_VIOLATION, result, text, seed=args.seed)
+        return Outcome(EXIT_OK if passed else EXIT_VIOLATION, result, text)
     if args.theorem == 1:
         if args.t is not None:
             raise ValueError("--t does not apply to theorem 1")
@@ -233,7 +229,8 @@ def cmd_hall_decide(args: argparse.Namespace) -> Outcome:
         raise ValueError(f"side totals differ: {graph.total_a} vs {graph.total_b}")
     solved = hallflow.solve_transportation(hallflow.reduce(graph))
     if solved.feasible:
-        assert solved.plan is not None
+        if solved.plan is None:
+            raise RuntimeError("feasible transportation result carries no plan")
         result: dict[str, Any] = {
             "feasible": True,
             "plan": [list(row) for row in solved.plan.entries],
@@ -241,7 +238,8 @@ def cmd_hall_decide(args: argparse.Namespace) -> Outcome:
         text = ["feasible; transportation plan rows:"]
         text.extend(" ".join(str(d) for d in row) for row in solved.plan.entries)
     else:
-        assert solved.cut_a is not None and solved.cut_b is not None
+        if solved.cut_a is None or solved.cut_b is None:
+            raise RuntimeError("infeasible transportation result carries no cut")
         result = {
             "feasible": False,
             "cut": {"a_blocks": str(solved.cut_a), "b_blocks": str(solved.cut_b)},
@@ -251,17 +249,16 @@ def cmd_hall_decide(args: argparse.Namespace) -> Outcome:
 
 
 def _infer_ground(text: str) -> int:
+    """Largest number on the lines ``SetFamily.parse`` reads, at least 1.
+
+    Blank lines and ``#`` comments are skipped, as the parser skips them.
+    """
     best = 1
-    token = ""
-    for ch in text:
-        if ch.isdigit():
-            token += ch
-        else:
-            if token:
-                best = max(best, int(token))
-            token = ""
-    if token:
-        best = max(best, int(token))
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            digits = "".join(ch if ch.isdecimal() else " " for ch in line)
+            best = max([best, *(int(token) for token in digits.split())])
     return best
 
 

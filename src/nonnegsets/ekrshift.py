@@ -129,7 +129,8 @@ def push_up(f: BoundedFamily, i: int) -> BoundedFamily:
         raise ValueError(f"element i must be in 1..{f.ground_n}, got {i}")
     image = _image_masks(f, i)
     distinct = set(image)
-    assert len(distinct) == len(image), "pushing-up collided; it must be injective"
+    if len(distinct) != len(image):
+        raise RuntimeError("pushing-up collided; it must be injective")
     return BoundedFamily(SetFamily.from_masks(f.ground_n, distinct), f.k)
 
 
@@ -173,7 +174,8 @@ def to_upset(f: BoundedFamily) -> UpsetResult:
                 log.append((i, delta))
                 current = BoundedFamily(SetFamily.from_masks(f.ground_n, set(image)), f.k)
                 changed = True
-    assert is_upset(current), "pushing-up fixpoint must be an upset"
+    if not is_upset(current):
+        raise RuntimeError("pushing-up fixpoint must be an upset")
     return UpsetResult(family=current, log=tuple(log))
 
 
@@ -297,7 +299,8 @@ def max_family_oracle(n: int, k: int) -> OracleResult:
     expand((1 << v_count) - 1, 0, 0)
     witness = SetFamily.from_masks(n, (masks[v] for v in range(v_count) if best_set >> v & 1))
     verdict = has_property(BoundedFamily(witness, k))
-    assert verdict.holds, "oracle witness must be cross-bounded"
+    if not verdict.holds:
+        raise RuntimeError("oracle witness must be cross-bounded")
     return OracleResult(n=n, k=k, size=best_size, witness=witness)
 
 
@@ -323,7 +326,8 @@ def theorem1_via_ekr(s: NumberSequence) -> EkrVerdict:
     if not constraint_holds(s):
         raise ValueError("sequence violates the negativity constraint")
     report = enumerate_nonneg(s, with_family=True)
-    assert report.family is not None
+    if report.family is None:
+        raise RuntimeError("enumeration with_family=True returned no family")
     nonempty = [member for member in report.family if member.mask != 0]
     bounded = BoundedFamily(SetFamily.of(s.n, nonempty), s.k)
     verdict = has_property(bounded)

@@ -371,7 +371,8 @@ def solve_transportation(h: ReducedGraph) -> TransportResult:
             for i in range(k)
         )
         plan = TransportationPlan(entries)
-        assert plan.validate(h)
+        if not plan.validate(h):
+            raise RuntimeError("max-flow plan fails validation")
         return TransportResult(feasible=True, plan=plan, cut_a=None, cut_b=None)
     reach = net.reachable_from(source)
     cut_a = Subset(sum(1 << i for i in range(k) if i in reach), k)

@@ -16,6 +16,7 @@ the scaled sums provably fit in 64 bits.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -52,11 +53,14 @@ __all__ = [
 
 # Full subset enumeration is 2^n work; refuse anything past this.
 MAX_ENUMERATION_N = 20
-# Randomized theorem sweeps enumerate per sample and stay smaller still.
+# Randomized theorem sweeps count every sample and stay smaller still.
 MAX_VERIFY_N = 16
 
 # Scaled absolute sums below this bound are safe in int64 arithmetic.
 _INT64_SAFE = 1 << 62
+# Rows the batched counter takes at a time; its memory is a few
+# _COUNT_CHUNK x 2^(n/2) int64 arrays, whatever the number of rows.
+_COUNT_CHUNK = 256
 
 
 class SamplingError(RuntimeError):
@@ -123,6 +127,15 @@ def _scaled_int_values(values: Sequence[Fraction]) -> list[int]:
     return [int(v * denom_lcm) for v in values]
 
 
+def _list_subset_sums(values: Sequence[int]) -> list[int]:
+    """Subset sums of Python ints indexed by mask, by doubling."""
+    sums = [0]
+    for v in values:
+        # materialize before extending: a lazy generator would read its own output
+        sums.extend([s + v for s in sums])
+    return sums
+
+
 def _subset_sums(values: Sequence[Fraction], force_python: bool = False):
     """Exact subset sums indexed by mask, after clearing denominators.
 
@@ -135,11 +148,64 @@ def _subset_sums(values: Sequence[Fraction], force_python: bool = False):
         for v in scaled:
             sums = np.concatenate([sums, sums + v])
         return sums
-    sums_list = [0]
-    for v in scaled:
-        # materialize before extending: a lazy generator would read its own output
-        sums_list.extend([s + v for s in sums_list])
-    return sums_list
+    return _list_subset_sums(scaled)
+
+
+def _row_subset_sums(cols: np.ndarray) -> np.ndarray:
+    """Per row of an (m, h) int64 array, its 2^h subset sums indexed by mask."""
+    sums = np.zeros((cols.shape[0], 1), dtype=np.int64)
+    for j in range(cols.shape[1]):
+        sums = np.concatenate([sums, sums + cols[:, j : j + 1]], axis=1)
+    return sums
+
+
+def _count_nonneg_rows(rows: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray | list[int]:
+    """Per row of integers, the number of index sets (empty included) with sum >= 0.
+
+    Meet in the middle (Horowitz & Sahni, JACM 1974): each row's indices
+    split into halves a = n // 2 and n - a, both halves' subset sums are
+    built by doubling, the right ones are sorted, and the pairs with
+    left + right >= 0 are counted by one ``searchsorted`` per chunk of
+    rows over the keys row * span + sum.  Time is O(rows * 2^(n/2) * log)
+    and memory O(_COUNT_CHUNK * 2^(n/2)).
+
+    Returns an int64 array when every sum and key provably fits in int64,
+    otherwise a list computed by the same algorithm over Python ints.
+    """
+    if len(rows) == 0:
+        return np.zeros(0, dtype=np.int64)
+    n = len(rows[0])
+    if isinstance(rows, np.ndarray):
+        peak = max(-int(rows.min()), int(rows.max()), 0)
+    else:
+        peak = max((abs(v) for row in rows for v in row), default=0)
+    # Every subset sum of a row lies in [-n * peak, n * peak], so span
+    # exceeds each row's range of sums and the keys row * span + sum of
+    # one chunk lie in (-span, chunk * span).
+    span = n * peak + 1
+    if min(len(rows), _COUNT_CHUNK) * span >= _INT64_SAFE:
+        return [_count_nonneg_bigint([int(v) for v in row]) for row in rows]
+    rows = np.asarray(rows, dtype=np.int64)
+    a = n // 2
+    counts = np.empty(rows.shape[0], dtype=np.int64)
+    for lo in range(0, rows.shape[0], _COUNT_CHUNK):
+        chunk = rows[lo : lo + _COUNT_CHUNK]
+        m = chunk.shape[0]
+        offsets = np.arange(m, dtype=np.int64)[:, None] * span
+        keys = (np.sort(_row_subset_sums(chunk[:, a:]), axis=1) + offsets).ravel()
+        # Position of row r's query r * span - left: the r * 2^(n-a) keys of
+        # earlier rows plus the right sums of row r below -left.
+        queries = (offsets - _row_subset_sums(chunk[:, :a])).ravel()
+        below = np.searchsorted(keys, queries).reshape(m, -1).sum(axis=1)
+        counts[lo : lo + m] = (np.arange(1, m + 1, dtype=np.int64) << n) - below
+    return counts
+
+
+def _count_nonneg_bigint(row: Sequence[int]) -> int:
+    """``_count_nonneg_rows`` for one row of Python ints, with sorted and bisect."""
+    a = len(row) // 2
+    right = sorted(_list_subset_sums(row[a:]))
+    return sum(len(right) - bisect_left(right, -x) for x in _list_subset_sums(row[:a]))
 
 
 @dataclass(frozen=True)
@@ -163,18 +229,20 @@ def enumerate_nonneg(s: NumberSequence, with_family: bool = True) -> NonnegRepor
         raise ValueError("sequence violates the negativity constraint")
     if s.n > MAX_ENUMERATION_N:
         raise ValueError(f"enumeration capped at n={MAX_ENUMERATION_N}, got {s.n}")
-    sums = _subset_sums(s.values)
-    if isinstance(sums, np.ndarray):
-        nonneg_masks = np.nonzero(sums >= 0)[0]
-        count = int(nonneg_masks.size)
-        masks_iter: Iterable[int] = (int(m) for m in nonneg_masks)
-    else:
-        masks_list = [m for m, total in enumerate(sums) if total >= 0]
-        count = len(masks_list)
-        masks_iter = masks_list
     family = None
     if with_family:
+        sums = _subset_sums(s.values)
+        if isinstance(sums, np.ndarray):
+            nonneg_masks = np.nonzero(sums >= 0)[0]
+            count = int(nonneg_masks.size)
+            masks_iter: Iterable[int] = (int(m) for m in nonneg_masks)
+        else:
+            masks_list = [m for m, total in enumerate(sums) if total >= 0]
+            count = len(masks_list)
+            masks_iter = masks_list
         family = SetFamily(s.n, tuple(Subset(m, s.n) for m in masks_iter))
+    else:
+        count = int(_count_nonneg_rows([_scaled_int_values(s.values)])[0])
     t = sum(1 for v in s.values if v >= 0)
     bound = bound_main(s.n, s.k)
     return NonnegReport(count=count, t=t, bound=bound, tight=count == bound, family=family)
@@ -192,7 +260,8 @@ def extremal_construction(n: int, k: int, t: int) -> NumberSequence:
         raise ValueError(f"t must be in 1..k={k}, got {t}")
     values = [k - t] + [0] * (t - 1) + [-1] * (n - t)
     seq = NumberSequence.of(values, k)
-    assert seq.constraint_ok
+    if not seq.constraint_ok:
+        raise RuntimeError("extremal construction violates the negativity constraint")
     return seq
 
 
@@ -271,10 +340,6 @@ class TheoremVerdict:
     counterexample: NumberSequence | None
 
 
-def _mask_bit_table(n: int) -> np.ndarray:
-    return (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1
-
-
 def _sample_constrained(
     n: int,
     k: int,
@@ -335,28 +400,24 @@ def _verify_common(
         bound = bound_refined(n, k, t)
     extremal_tight = extremal_count == bound
 
-    refined = [0] * (k + 1)
-    for tt in range(1, k + 1):
-        refined[tt] = bound_refined(n, k, tt)
+    # A sample with tt nonnegative values must stay within caps[tt].
+    caps = np.array(
+        [bound] + [min(bound, bound_refined(n, k, tt)) for tt in range(1, k + 1)], dtype=np.int64
+    )
 
     rng = np.random.default_rng(seed)
     max_count = 0
     counterexample: NumberSequence | None = None
     if trials:
         samples = _sample_constrained(n, k, trials, rng, t, max_draws)
-        bits = _mask_bit_table(n)
-        counts = ((samples @ bits.T) >= 0).sum(axis=1)
+        counts = np.asarray(_count_nonneg_rows(samples))
         nonneg_t = (samples >= 0).sum(axis=1)
         max_count = int(counts.max())
         # Under the constraint the nonnegative values themselves form a
         # nonnegative-sum set, so their number can never exceed k.
-        assert int(nonneg_t.max()) <= k
-        caps = np.fromiter(
-            (bound if tt == 0 else min(bound, refined[tt]) for tt in nonneg_t),
-            dtype=np.int64,
-            count=trials,
-        )
-        bad = np.nonzero(counts > caps)[0]
+        if int(nonneg_t.max()) > k:
+            raise RuntimeError("a sample has more than k nonnegative values")
+        bad = np.nonzero(counts > caps[nonneg_t])[0]
         if bad.size:
             first = int(bad[0])
             counterexample = NumberSequence.of((int(v) for v in samples[first]), k)

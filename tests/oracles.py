@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used to freeze expected values.
 
 Everything here is deliberately naive (itertools over index tuples, full
-recursion) and shares no code with the library paths it checks.
+recursion, dense products) and shares no code with the library paths it
+checks.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 
 def naive_nonneg_masks(values: Sequence[Fraction | int]) -> list[int]:
@@ -20,6 +23,17 @@ def naive_nonneg_masks(values: Sequence[Fraction | int]) -> list[int]:
             if sum((Fraction(values[i]) for i in combo), start=Fraction(0)) >= 0:
                 masks.append(sum(1 << i for i in combo))
     return sorted(masks)
+
+
+def product_nonneg_counts(rows: np.ndarray) -> np.ndarray:
+    """Per-row nonnegative subset counts of an int64 array, by the dense product.
+
+    Every subset sum of every row is formed at once as rows @ bits.T over
+    the rows x 2^n matrix, so memory grows with the number of rows.
+    """
+    n = rows.shape[1]
+    bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)[None, :]) & 1
+    return ((rows @ bits.T) >= 0).sum(axis=1)
 
 
 def naive_constraint(values: Sequence[Fraction | int], k: int) -> bool:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,10 +95,33 @@ class TestVerify:
         assert code == 0
         r = payload["result"]
         assert r["oracle_size"] == r["closed_form"] == 4
+        # Deterministic: the envelope carries no seed even when one is given.
+        code, payload = run_json(
+            capsys, "verify", "--theorem", "3", "--n", "4", "--k", "2", "--seed", "5"
+        )
+        assert code == 0
+        assert payload["seed"] is None
         code, _ = run_json(
             capsys, "verify", "--theorem", "3", "--n", "4", "--k", "2", "--t", "1"
         )
         assert code == 2
+
+    def test_memory_flat_in_trials(self):
+        # Peak RSS of a child process; a trials x 2^n matrix would need about 11 GB here.
+        script = (
+            "import resource\n"
+            "from nonnegsets.cli import main\n"
+            "code = main(['--format', 'json', 'verify', '--theorem', '1', '--n', '16', '--k', '8',"
+            " '--trials', '20000', '--seed', '1'])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        code, peak_kb = map(int, done.stdout.split()[-2:])
+        assert code == 0
+        assert peak_kb < 150 * 1024
 
     def test_failed_verdict_maps_to_exit_1(self, capsys, monkeypatch):
         fake = TheoremVerdict(
@@ -254,6 +281,20 @@ class TestEkr:
         )
         assert code == 0
         assert payload["result"]["n"] == 4
+
+    def test_shift_ignores_comment_digits(self, capsys, tmp_path):
+        path = tmp_path / "family.txt"
+        path.write_text("# 5 sets\n{1,2}\n{3}\n", encoding="utf-8")
+        code, payload = run_json(capsys, "ekr", "shift", "--family", str(path), "--k", "2")
+        assert code == 0
+        assert payload["result"]["n"] == 3
+
+    def test_shift_large_comment_number_not_a_ground(self, capsys, tmp_path):
+        path = tmp_path / "family.txt"
+        path.write_text("# 100 sets\n\n{1,2}\n{3}\n", encoding="utf-8")
+        code, payload = run_json(capsys, "ekr", "shift", "--family", str(path), "--k", "2")
+        assert code == 0
+        assert payload["result"]["n"] == 3
 
     def test_shift_bad_family_exit_3(self, capsys, tmp_path):
         path = tmp_path / "family.txt"

@@ -3,12 +3,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonnegsets.nonneg import (
     NumberSequence,
     SamplingError,
+    _COUNT_CHUNK,
+    _INT64_SAFE,
+    _count_nonneg_bigint,
+    _count_nonneg_rows,
+    _sample_constrained,
+    _scaled_int_values,
     _subset_sums,
     classify_nonneg_structure,
     constraint_holds,
@@ -22,7 +28,7 @@ from nonnegsets.nonneg import (
 )
 from nonnegsets.setcore import Subset, bound_main, bound_refined
 
-from oracles import naive_constraint, naive_nonneg_masks
+from oracles import naive_constraint, naive_nonneg_masks, product_nonneg_counts
 
 
 class TestNumberSequence:
@@ -99,6 +105,87 @@ class TestSubsetSums:
         sums = _subset_sums(values)
         assert int(sums[0b111]) == 0
         assert int(sums[0b011]) == 5  # (1/2 + 1/3) * 6
+
+
+def _naive_counts(rows) -> list[int]:
+    return [len(naive_nonneg_masks(row)) for row in rows]
+
+
+class TestCountNonnegRows:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=1, max_size=4
+            )
+        )
+    )
+    @example([[0, 0, 0]])
+    @example([[3, -3, 0, 2, -2], [0, -1, 1, 0, 0]])
+    def test_int64_rows_match_naive(self, rows):
+        counts = _count_nonneg_rows(np.array(rows, dtype=np.int64))
+        assert isinstance(counts, np.ndarray)
+        expected = _naive_counts(rows)
+        assert counts.tolist() == expected
+        assert [_count_nonneg_bigint(row) for row in rows] == expected
+
+    def test_rows_past_int64_take_bigint_path(self):
+        big = _INT64_SAFE
+        rows = [
+            [big, -big, 3, -(big << 8), 0, big << 8, -3],
+            [-(big << 1), big, big, 1, -1, 0, 5],
+        ]
+        counts = _count_nonneg_rows(rows)
+        assert isinstance(counts, list)
+        assert counts == _naive_counts(rows)
+
+    def test_large_denominator_lcm_takes_bigint_path(self):
+        values = [
+            Fraction(1, (1 << 61) - 1),
+            Fraction(1, (1 << 31) - 1),
+            Fraction(-1, (1 << 89) - 1),
+            Fraction(-3, (1 << 31) - 1),
+            Fraction(1, 7),
+            Fraction(-2, 7),
+            Fraction(0),
+        ]
+        counts = _count_nonneg_rows([_scaled_int_values(values)])
+        assert isinstance(counts, list)
+        expected = len(naive_nonneg_masks(values))
+        assert counts == [expected]
+        s = NumberSequence.of(values, len(values) - 1)
+        assert enumerate_nonneg(s, with_family=False).count == expected
+
+    def test_batch_keys_past_guard_although_each_row_fits(self):
+        # span = 4 * peak + 1 fits once, but two rows' keys reach 2 * span.
+        peak = (1 << 59) + 3
+        rows = [[peak, -peak, 3, -3], [-peak, peak - 1, 1, 0], [peak, 0, -peak, -1]]
+        for row in rows:
+            assert isinstance(_count_nonneg_rows([row]), np.ndarray)
+        counts = _count_nonneg_rows(rows)
+        assert isinstance(counts, list)
+        assert counts == _naive_counts(rows)
+
+    @pytest.mark.parametrize(
+        "n, k, t, trials, seed",
+        [
+            (6, 3, None, 300, 1),
+            (11, 5, None, 2 * _COUNT_CHUNK + 17, 2),
+            (12, 9, 4, 300, 3),
+            (16, 8, None, 64, 4),
+            (16, 14, 6, 64, 5),
+        ],
+    )
+    def test_seeded_verify_batches_match_dense_product(self, n, k, t, trials, seed):
+        samples = _sample_constrained(n, k, trials, np.random.default_rng(seed), t, 80_000_000)
+        expected = product_nonneg_counts(samples)
+        assert _count_nonneg_rows(samples).tolist() == expected.tolist()
+        if t is None:
+            verdict = verify_theorem1(n, k, trials, seed)
+        else:
+            verdict = verify_theorem2(n, k, t, trials, seed)
+        assert verdict.passed
+        assert verdict.max_count == int(expected.max())
 
 
 class TestEnumerate:
