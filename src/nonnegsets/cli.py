@@ -222,12 +222,10 @@ def cmd_matching_gi(args: argparse.Namespace) -> Outcome:
 
 def cmd_hall_decide(args: argparse.Namespace) -> Outcome:
     graph = hallflow.read_graph_file(args.graph)
-    report = hallflow.validate_biregular(graph)
-    if not report.ok:
-        raise ValueError(f"graph is not bi-regular: {report.detail}")
+    reduced = hallflow.reduce(graph)  # raises on a graph that is not bi-regular
     if graph.total_a != graph.total_b:
         raise ValueError(f"side totals differ: {graph.total_a} vs {graph.total_b}")
-    solved = hallflow.solve_transportation(hallflow.reduce(graph))
+    solved = hallflow.solve_transportation(reduced)
     if solved.feasible:
         if solved.plan is None:
             raise RuntimeError("feasible transportation result carries no plan")

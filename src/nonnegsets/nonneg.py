@@ -19,9 +19,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .setcore import (
     FileFormatError,
@@ -31,6 +29,12 @@ from .setcore import (
     bound_main,
     bound_refined,
 )
+
+# numpy is imported inside the functions that count, list or sample, so
+# importing the package, and every command that does none of these, never
+# loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_ENUMERATION_N",
@@ -64,7 +68,11 @@ _COUNT_CHUNK = 256
 
 
 class SamplingError(RuntimeError):
-    """Rejection sampling exhausted its draw budget before enough accepts."""
+    """Rejection sampling exhausted its draw budget before enough accepts.
+
+    Raised only on valid (n, k, t): the cell holds constrained sequences,
+    the sampler just accepts too few of its draws to fill the trials.
+    """
 
 
 def _check_constraint(values: Sequence[Fraction], k: int) -> bool:
@@ -142,6 +150,8 @@ def _subset_sums(values: Sequence[Fraction], force_python: bool = False):
     Returns a numpy int64 array when the magnitudes provably fit, otherwise
     a plain Python list of unbounded ints (same indexing).
     """
+    import numpy as np
+
     scaled = _scaled_int_values(values)
     if not force_python and sum(abs(v) for v in scaled) < _INT64_SAFE:
         sums = np.zeros(1, dtype=np.int64)
@@ -153,6 +163,8 @@ def _subset_sums(values: Sequence[Fraction], force_python: bool = False):
 
 def _row_subset_sums(cols: np.ndarray) -> np.ndarray:
     """Per row of an (m, h) int64 array, its 2^h subset sums indexed by mask."""
+    import numpy as np
+
     sums = np.zeros((cols.shape[0], 1), dtype=np.int64)
     for j in range(cols.shape[1]):
         sums = np.concatenate([sums, sums + cols[:, j : j + 1]], axis=1)
@@ -172,6 +184,8 @@ def _count_nonneg_rows(rows: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray
     Returns an int64 array when every sum and key provably fits in int64,
     otherwise a list computed by the same algorithm over Python ints.
     """
+    import numpy as np
+
     if len(rows) == 0:
         return np.zeros(0, dtype=np.int64)
     n = len(rows[0])
@@ -225,6 +239,8 @@ def enumerate_nonneg(s: NumberSequence, with_family: bool = True) -> NonnegRepor
     Requires the negativity constraint and n <= 20.  The family, when
     requested, is canonical: masks ascending, the empty set always present.
     """
+    import numpy as np
+
     if not constraint_holds(s):
         raise ValueError("sequence violates the negativity constraint")
     if s.n > MAX_ENUMERATION_N:
@@ -285,6 +301,8 @@ class StructureReport:
 
 def classify_nonneg_structure(s: NumberSequence) -> StructureReport:
     """Certify the two-form shape of the nonnegative family, or name a violator."""
+    import numpy as np
+
     if not constraint_holds(s):
         raise ValueError("sequence violates the negativity constraint")
     if s.n > MAX_ENUMERATION_N:
@@ -353,6 +371,8 @@ def _sample_constrained(
     Acceptance optionally conditions on exactly ``exact_t`` nonnegative
     entries.  Rows come back in draw order, so results are seed-stable.
     """
+    import numpy as np
+
     m = 4 * n
     batch = 1 << 14
     accepted: list[np.ndarray] = []
@@ -360,9 +380,10 @@ def _sample_constrained(
     drawn = 0
     while have < trials:
         if drawn >= max_draws:
+            cell = f"n={n}, k={k}" + ("" if exact_t is None else f", t={exact_t}")
             raise SamplingError(
-                f"accepted {have}/{trials} sequences after {drawn} draws "
-                f"(n={n}, k={k}, exact_t={exact_t})"
+                f"({cell}) is a valid cell, but the rejection sampler used up its "
+                f"draw budget: accepted {have}/{trials} sequences after {drawn} draws"
             )
         arr = rng.integers(-m, m + 1, size=(batch, n), dtype=np.int64)
         drawn += batch
@@ -385,6 +406,8 @@ def _verify_common(
     seed: int,
     max_draws: int,
 ) -> TheoremVerdict:
+    import numpy as np
+
     if not 2 <= n <= MAX_VERIFY_N:
         raise ValueError(f"verification needs 2 <= n <= {MAX_VERIFY_N}, got {n}")
     if not 1 <= k <= n - 1:

@@ -25,7 +25,6 @@ from nonnegsets.ekrshift import (
     upset_is_intersecting,
 )
 from nonnegsets.hallflow import (
-    random_blocked_biregular,
     reduce,
     solve_transportation,
     weighted_hall_decide,
@@ -51,6 +50,8 @@ from nonnegsets.setcore import (
     bound_refined,
     masks_by_size,
 )
+
+from graphgen import random_blocked_biregular
 
 
 def _criterion(num: int, name: str, budget_s: float, body: Callable[[], None]) -> None:

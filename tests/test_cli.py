@@ -250,10 +250,22 @@ class TestHall:
 
     def test_not_biregular_exit_2(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
-        path.write_text("1 1\n2\n2\n1:1 1:1\n1:1 1:2\n1:2 1:1\n", encoding="utf-8")
+        # A-degrees 2 and 1; the second graph also has unequal totals (2 vs 3),
+        # and bi-regularity is still the error reported.
+        for b_size in (2, 3):
+            path.write_text(f"1 1\n2\n{b_size}\n1:1 1:1\n1:1 1:2\n1:2 1:1\n", encoding="utf-8")
+            code, payload = run_json(capsys, "hall", "decide", "--graph", str(path))
+            assert code == 2
+            assert payload["error"]["message"].startswith("graph is not bi-regular: ")
+
+    def test_readme_example(self, capsys, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("**Blocked graph**", 1)[1].split("```", 2)[1]
+        path = tmp_path / "graph.txt"
+        path.write_text(example, encoding="utf-8")
         code, payload = run_json(capsys, "hall", "decide", "--graph", str(path))
-        assert code == 2
-        assert "bi-regular" in payload["error"]["message"]
+        assert code == 0
+        assert payload["result"] == {"feasible": True, "plan": [[1], [1]]}
 
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _ = run_json(capsys, "hall", "decide", "--graph", str(tmp_path / "nope"))
@@ -319,6 +331,49 @@ class TestEkr:
     def test_oracle_guard_exit_2(self, capsys):
         code, _ = run_json(capsys, "ekr", "oracle", "--n", "7", "--k", "2")
         assert code == 2
+
+
+class TestNumpyOnDemand:
+    def test_numpy_loaded_only_by_counting(self, tmp_path):
+        # One child process: numpy must stay out of sys.modules through the
+        # import and every command that neither counts nor samples.
+        graph = tmp_path / "graph.txt"
+        graph.write_text("1 1\n1\n1\n1:1 1:1\n", encoding="utf-8")
+        family = tmp_path / "family.txt"
+        family.write_text("{1}\n{2}\n", encoding="utf-8")
+        commands = [
+            ["bound", "--n", "5", "--k", "2"],
+            ["matching", "disjointness", "--m", "3", "--r", "2"],
+            ["matching", "gi", "--n", "5", "--k", "3", "--t", "2", "--pair", "1"],
+            ["hall", "decide", "--graph", str(graph)],
+            ["ekr", "shift", "--family", str(family), "--k", "2"],
+            ["ekr", "oracle", "--n", "4", "--k", "2"],
+            ["verify", "--theorem", "3", "--n", "4", "--k", "2"],
+            ["verify", "--theorem", "1", "--n", "6", "--k", "2", "--trials", "10"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import nonnegsets\n"
+            "from nonnegsets import cli\n"
+            "seen = [[None, 'numpy' in sys.modules]]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = cli.main(argv)\n"
+            "    seen.append([code, 'numpy' in sys.modules])\n"
+            "print(json.dumps(seen))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        assert seen[0] == [None, False], "import nonnegsets loaded numpy"
+        for argv, (code, loaded) in zip(commands[:-1], seen[1:-1]):
+            assert code == 0, argv
+            assert not loaded, f"{' '.join(argv)} loaded numpy"
+        assert seen[-1] == [0, True]
 
 
 class TestParser:

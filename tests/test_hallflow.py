@@ -7,12 +7,10 @@ from nonnegsets.hallflow import (
     PartitionedBipartiteGraph,
     ReducedGraph,
     parse_graph,
-    random_blocked_biregular,
     read_graph_file,
     reduce,
     reduced_hall_condition,
     render_graph,
-    singleton_partition,
     solve_transportation,
     validate_biregular,
     weighted_hall_decide,
@@ -20,6 +18,7 @@ from nonnegsets.hallflow import (
 from nonnegsets.matching import hopcroft_karp
 from nonnegsets.setcore import FileFormatError, Subset
 
+from graphgen import random_blocked_biregular, singleton_partition
 from oracles import naive_max_matching
 
 

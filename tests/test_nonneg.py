@@ -322,8 +322,13 @@ class TestVerifyTheorem1:
             verify_theorem1(6, 2, trials=-1, seed=0)
 
     def test_sampling_budget_exhaustion(self):
-        with pytest.raises(SamplingError):
+        with pytest.raises(SamplingError) as exc:
             verify_theorem1(12, 2, trials=1_000_000, seed=0, max_draws=1 << 14)
+        message = str(exc.value)
+        assert "(n=12, k=2) is a valid cell" in message
+        assert "rejection sampler used up its draw budget" in message
+        with pytest.raises(SamplingError, match=r"\(n=12, k=6, t=6\) is a valid cell"):
+            verify_theorem2(12, 6, 6, trials=1_000_000, seed=0, max_draws=1 << 14)
 
 
 class TestVerifyTheorem2:
