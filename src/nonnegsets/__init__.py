@@ -11,7 +11,6 @@ cli       command-line front end (``nonnegsets``)
 """
 
 from .setcore import (
-    BoundTable,
     FileFormatError,
     SetFamily,
     Subset,
@@ -50,7 +49,6 @@ from .matching import (
     GiGraphSpec,
     Matching,
     build_disjointness_graph,
-    build_gi_graph,
     count_cap_per_pair,
     find_perfect_matching,
     near_perfect_matching_gi,

@@ -200,15 +200,16 @@ def cmd_matching_disjointness(args: argparse.Namespace) -> Outcome:
 def cmd_matching_gi(args: argparse.Namespace) -> Outcome:
     spec = matching.GiGraphSpec(args.n, args.k, args.t, args.pair)
     found = matching.near_perfect_matching_gi(spec)
-    graph = matching.build_gi_graph(spec)
+    # near_perfect_matching_gi guarantees every vertex but the two roots is matched.
+    size = len(found) + 1
     result = {
         "n": args.n,
         "k": args.k,
         "t": args.t,
         "pair_a": str(spec.a_core),
         "pair_b": str(spec.b_core),
-        "left_size": len(graph.left),
-        "right_size": len(graph.right),
+        "left_size": size,
+        "right_size": size,
         "matching_size": len(found),
         "pairs": [[str(a), str(b)] for a, b in found.pairs],
     }

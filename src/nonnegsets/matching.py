@@ -4,14 +4,19 @@ The central object: for a ground set [m] and a size cap r, take two disjoint
 copies of {S : S subset of [m], 1 <= |S| <= r} and join left S to right T
 exactly when S and T are disjoint and |S| + |T| >= r + 1.  This graph has a
 perfect matching whenever m >= r + 1 and none at all when m = r (it then
-has no edges).  A decorated variant supports splitting a number sequence's
-index set: fix the first t positions, pick a complement pair (A, B) of
-subsets of [t] with 1 in A, and connect A-rooted vertices A u S to B-rooted
-vertices B u T (S, T inside {t+1, ..., n}, sizes at most k - t) under the
-same disjointness rule on S and T.  In that variant a maximum matching
-saturates everything except the two roots, and no matched edge can have two
-nonnegative endpoint sums, which is what caps the per-pair count of
-nonnegative sets.
+has no edges).  Grouped by subset size it is the paper's block graph: block
+i holds the C(m, i) i-subsets, and blocks i and j are adjacent iff
+r + 1 <= i + j <= m; the corollary's Hall check reads that closed form.
+
+Splitting a number sequence's index set gives a rooted split graph: fix the
+first t positions, pick a complement pair (A, B) of subsets of [t] with 1
+in A, and connect A u S to B u T (S, T inside {t+1, ..., n}, sizes at most
+k - t) under the same disjointness rule on S and T.  That graph is
+D(n - t, k - t) with every vertex lifted by its core, plus the two roots A
+and B, which no edge reaches.  Its maximum matching is therefore D's perfect
+matching, lifted: it saturates everything except the two roots, and no
+matched edge can have two nonnegative endpoint sums, which is what caps the
+per-pair count of nonnegative sets.
 
 Matchings are deterministic: vertices are sorted by mask, adjacency lists
 ascending, and the augmenting search scans in that order.
@@ -23,15 +28,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .hallflow import (
-    HallVerdict,
-    PartitionedBipartiteGraph,
-    ReducedGraph,
-    reduce,
-    reduced_hall_condition,
-)
+from .hallflow import HallVerdict, ReducedGraph, reduced_hall_condition
 from .nonneg import NumberSequence, constraint_holds
-from .setcore import SetFamily, Subset, binomial, masks_by_size, submasks
+from .setcore import Subset, binomial, masks_by_size, submasks
 
 __all__ = [
     "MAX_UNIVERSE",
@@ -45,11 +44,9 @@ __all__ = [
     "PairCount",
     "RuleReport",
     "build_disjointness_graph",
-    "build_blocked_disjointness_graph",
     "find_perfect_matching",
     "verify_corollary_hall_blocks",
     "complement_pairs",
-    "build_gi_graph",
     "near_perfect_matching_gi",
     "count_cap_per_pair",
     "hopcroft_karp",
@@ -265,32 +262,6 @@ def find_perfect_matching(spec: DisjointnessGraphSpec) -> MatchingOutcome:
     return _matching_from_arrays(graph, match_l)
 
 
-def build_blocked_disjointness_graph(spec: DisjointnessGraphSpec) -> PartitionedBipartiteGraph:
-    """Same graph, partitioned by subset size: block i holds all i-subsets.
-
-    Ordinals follow mask order inside each block.  Each nonempty block pair
-    is bi-regular with degrees C(m-i, j) on the A side and C(m-j, i) on the
-    B side, so the blocked reduction applies.
-    """
-    m, r = spec.m, spec.r
-    sizes = tuple(binomial(m, i) for i in range(1, r + 1))
-    position: dict[int, tuple[int, int]] = {}
-    counters = [0] * (r + 1)
-    for mask in masks_by_size(m, 1, r):
-        size = mask.bit_count()
-        position[mask] = (size - 1, counters[size])
-        counters[size] += 1
-    edges = []
-    for s_mask, s_pos in position.items():
-        s_size = s_mask.bit_count()
-        comp = ((1 << m) - 1) & ~s_mask
-        for t_mask in submasks(comp):
-            t_size = t_mask.bit_count()
-            if 1 <= t_size <= r and s_size + t_size >= r + 1:
-                edges.append((s_pos, position[t_mask]))
-    return PartitionedBipartiteGraph.of(sizes, sizes, edges)
-
-
 @dataclass(frozen=True)
 class HallInequality:
     """One interval check: X = blocks lo..hi on the A side, both sides in weight."""
@@ -352,10 +323,14 @@ def verify_corollary_hall_blocks(spec: DisjointnessGraphSpec) -> CorollaryHallRe
     r+1 <= m <= 2r-1 the prefixes plus the intervals X = {s..t} with
     m-r <= s <= t <= r suffice (block-level neighborhoods are intervals, so
     general X reduce to these).  m = r has no nonempty block pair and fails
-    outright.
+    outright.  The reduced graph is the block graph's closed form.
     """
     m, r = spec.m, spec.r
-    reduced = reduce(build_blocked_disjointness_graph(spec))
+    sizes = tuple(binomial(m, i) for i in range(1, r + 1))
+    block_adj = tuple(
+        tuple(r + 1 <= i + j <= m for j in range(1, r + 1)) for i in range(1, r + 1)
+    )
+    reduced = ReducedGraph(sizes, sizes, block_adj)
     generic = reduced_hall_condition(reduced)
     if m == r:
         return CorollaryHallReport(
@@ -441,51 +416,29 @@ class GiGraphSpec:
         return Subset(self.b_mask, self.n)
 
 
-def _tail_masks(spec: GiGraphSpec) -> list[int]:
-    """Masks S inside {t+1, ..., n} with |S| <= k - t, ascending."""
-    tail_mask = ((1 << spec.n) - 1) ^ ((1 << spec.t) - 1)
-    cap = spec.k - spec.t
-    return sorted(m for m in submasks(tail_mask) if m.bit_count() <= cap)
-
-
-def build_gi_graph(spec: GiGraphSpec) -> BipartiteGraph:
-    """Left vertices A u S, right vertices B u T; edge iff S, T disjoint and |S|+|T| > k-t.
-
-    The two roots (S or T empty) are always isolated: an edge needs
-    |S| + |T| >= k - t + 1 while each tail has at most k - t elements.
-    """
-    tails = _tail_masks(spec)
-    left = tuple(Subset(spec.a_mask | s, spec.n) for s in tails)
-    right = tuple(Subset(spec.b_mask | t_mask, spec.n) for t_mask in tails)
-    index_of = {t_mask: i for i, t_mask in enumerate(tails)}
-    need = spec.k - spec.t + 1
-    tail_mask = ((1 << spec.n) - 1) ^ ((1 << spec.t) - 1)
-    adj = []
-    for s_mask in tails:
-        row = []
-        s_size = s_mask.bit_count()
-        comp = tail_mask & ~s_mask
-        for t_mask in submasks(comp):
-            if s_size + t_mask.bit_count() >= need and t_mask in index_of:
-                row.append(index_of[t_mask])
-        row.sort()
-        adj.append(tuple(row))
-    return BipartiteGraph(left=left, right=right, adj=tuple(adj))
-
-
 def near_perfect_matching_gi(spec: GiGraphSpec) -> Matching:
-    """Maximum matching of the rooted split graph; saturates all but the two roots."""
-    graph = build_gi_graph(spec)
-    match_l, _ = hopcroft_karp(graph.adj, len(graph.right))
-    outcome = _matching_from_arrays(graph, match_l)
-    expected_l = (spec.a_core,)
-    expected_r = (spec.b_core,)
-    if outcome.unsaturated_left != expected_l or outcome.unsaturated_right != expected_r:
+    """Maximum matching of the rooted split graph; saturates all but the two roots.
+
+    The split graph minus its roots is D(n - t, k - t) with S lifted to
+    A u (S shifted past [t]) on the left and T to B u (T shifted) on the
+    right, so its matching is D's perfect matching, lifted.  For t = k only
+    the roots remain and the matching is empty.
+    """
+    n, t, cap = spec.n, spec.t, spec.k - spec.t
+    if cap == 0:
+        return Matching(())
+    outcome = find_perfect_matching(DisjointnessGraphSpec(n - t, cap))
+    if not outcome.perfect:
         raise RuntimeError(
-            f"matching left {outcome.unsaturated_left} / {outcome.unsaturated_right} "
-            f"unsaturated; expected exactly the roots {expected_l} / {expected_r}"
+            f"disjointness matching of D({n - t}, {cap}) is not perfect: "
+            f"{outcome.unsaturated_left} / {outcome.unsaturated_right} unsaturated"
         )
-    return outcome.matching
+    return Matching(
+        tuple(
+            (Subset(spec.a_mask | s.mask << t, n), Subset(spec.b_mask | u.mask << t, n))
+            for s, u in outcome.matching.pairs
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -520,19 +473,17 @@ def count_cap_per_pair(spec: GiGraphSpec, s: NumberSequence) -> PairCount:
     if t_actual != spec.t:
         raise ValueError(f"sequence has {t_actual} nonnegative values, spec says {spec.t}")
 
-    def vertex_sum(subset: Subset):
-        return ordered.subset_sum(subset)
-
-    graph = build_gi_graph(spec)
-    count = sum(1 for v in graph.left if vertex_sum(v) >= 0)
-    count += sum(1 for v in graph.right if vertex_sum(v) >= 0)
     cap = sum(binomial(spec.n - spec.t, i) for i in range(spec.k - spec.t + 1)) + 1
     matching = near_perfect_matching_gi(spec)
+    # The roots plus the matched pairs are every vertex, each exactly once.
+    count = (ordered.subset_sum(spec.a_core) >= 0) + (ordered.subset_sum(spec.b_core) >= 0)
     conflict = None
     for left_v, right_v in matching.pairs:
-        if vertex_sum(left_v) >= 0 and vertex_sum(right_v) >= 0:
+        left_ok = ordered.subset_sum(left_v) >= 0
+        right_ok = ordered.subset_sum(right_v) >= 0
+        count += left_ok + right_ok
+        if conflict is None and left_ok and right_ok:
             conflict = (left_v, right_v)
-            break
     return PairCount(
         a_core=spec.a_core,
         b_core=spec.b_core,
@@ -587,12 +538,3 @@ def validate_candidate_rule(spec: DisjointnessGraphSpec, rule: CandidateRule) ->
             return RuleReport(False, checked, s, f"{target} assigned twice")
         used.add(ri)
     return RuleReport(True, checked, None, None)
-
-
-def gi_family_of_nonneg_vertices(spec: GiGraphSpec, s: NumberSequence) -> SetFamily:
-    """The nonnegative vertices of one split graph, as a family over [n] (sorted input)."""
-    ordered = s.sorted_desc()
-    graph = build_gi_graph(spec)
-    members = [v for v in graph.left if ordered.subset_sum(v) >= 0]
-    members.extend(v for v in graph.right if ordered.subset_sum(v) >= 0)
-    return SetFamily.of(spec.n, members)

@@ -144,7 +144,7 @@ def _list_subset_sums(values: Sequence[int]) -> list[int]:
     return sums
 
 
-def _subset_sums(values: Sequence[Fraction], force_python: bool = False):
+def _subset_sums(values: Sequence[Fraction]):
     """Exact subset sums indexed by mask, after clearing denominators.
 
     Returns a numpy int64 array when the magnitudes provably fit, otherwise
@@ -153,7 +153,7 @@ def _subset_sums(values: Sequence[Fraction], force_python: bool = False):
     import numpy as np
 
     scaled = _scaled_int_values(values)
-    if not force_python and sum(abs(v) for v in scaled) < _INT64_SAFE:
+    if sum(abs(v) for v in scaled) < _INT64_SAFE:
         sums = np.zeros(1, dtype=np.int64)
         for v in scaled:
             sums = np.concatenate([sums, sums + v])

