@@ -43,7 +43,8 @@ class Outcome:
 
 
 def _family_list(family: SetFamily) -> list[str]:
-    return [str(member) for member in family]
+    """Each member's text, rendered once and shared by the JSON and text outputs."""
+    return setcore.render_masks(family.members)
 
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any], text: list[str]) -> None:
@@ -154,7 +155,7 @@ def cmd_nonneg(args: argparse.Namespace) -> Outcome:
     ]
     if args.dump and report.family is not None:
         result["family"] = _family_list(report.family)
-        text.extend(str(member) for member in report.family)
+        text.extend(result["family"])
     return Outcome(EXIT_OK, result, text)
 
 
@@ -269,19 +270,20 @@ def cmd_ekr_shift(args: argparse.Namespace) -> Outcome:
     bounded = ekrshift.BoundedFamily(family, args.k)
     before = ekrshift.has_property(bounded)
     upset = ekrshift.to_upset(bounded)
+    members = _family_list(upset.family.family)
     result = {
         "n": ground_n,
         "k": args.k,
         "size": len(upset.family),
         "property_before": before.holds,
         "log": [[i, changed] for i, changed in upset.log],
-        "upset": _family_list(upset.family.family),
+        "upset": members,
         "intersecting": setcore.family_is_intersecting(upset.family.family),
     }
     text = [
         f"pushed family of {len(upset.family)} sets to an upset in {len(upset.log)} effective steps"
     ]
-    text.extend(str(member) for member in upset.family.family)
+    text.extend(members)
     return Outcome(EXIT_OK, result, text)
 
 

@@ -13,6 +13,13 @@ i = 1..n drives F to a fixpoint that is an upward-closed family (an upset
 within the size cap).  A cross-bounded upset with k <= n - 1 is
 intersecting, and intersecting families of size <= k sets obey the cap.
 
+Families are sorted masks.  The cross-bound and upset checks run on the
+subset lattice, in bitmaps over all 2^n masks (n <= MAX_LATTICE_N): a
+member A breaks the cross-bound exactly when its complement lies in the
+up-closure of the members of size >= k - |A| + 1, and the family is an
+upset when its members below the cap, shifted onto each element, stay
+inside it.  Neither needs numpy.
+
 The independent check lives in max_family_oracle: a family is cross-bounded
 exactly when it avoids every conflicting pair (disjoint, size sum > k),
 i.e. when it is an independent set in the conflict graph on all candidate
@@ -27,9 +34,20 @@ nonnegative-sum sets is again one, hence has size at most k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Container, Iterable
 
 from .nonneg import NumberSequence, constraint_holds, enumerate_nonneg
-from .setcore import SetFamily, Subset, binomial, bound_main, family_is_intersecting, masks_by_size
+from .setcore import (
+    MAX_LATTICE_N,
+    SetFamily,
+    Subset,
+    _element_patterns,
+    _first_disjoint_pair,
+    _mask_bitmap,
+    bound_main,
+    family_is_intersecting,
+    masks_by_size,
+)
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -72,11 +90,12 @@ class BoundedFamily:
         n = self.family.ground_n
         if not 1 <= self.k <= n:
             raise ValueError(f"k must be in 1..n={n}, got {self.k}")
-        for member in self.family:
-            if member.mask == 0:
-                raise ValueError("the empty set cannot be a member")
-            if member.size > self.k:
-                raise ValueError(f"member {member} exceeds size cap {self.k}")
+        masks = self.family.members
+        if masks and masks[0] == 0:
+            raise ValueError("the empty set cannot be a member")
+        if masks and max(map(int.bit_count, masks)) > self.k:
+            over = next(m for m in masks if m.bit_count() > self.k)
+            raise ValueError(f"member {Subset(over, n)} exceeds size cap {self.k}")
 
     @property
     def ground_n(self) -> int:
@@ -95,28 +114,23 @@ class PropertyVerdict:
 
 
 def has_property(f: BoundedFamily) -> PropertyVerdict:
-    """Check |A| + |B| <= k for every disjoint pair of members."""
+    """Check |A| + |B| <= k for every disjoint pair of members.
+
+    The witness is the first violating pair (i < j) in mask order, found
+    on the subset lattice up to MAX_LATTICE_N elements.
+    """
+    n = f.ground_n
     members = f.family.members
-    for i in range(len(members)):
-        a = members[i]
-        for j in range(i + 1, len(members)):
-            b = members[j]
-            if not a.mask & b.mask and a.size + b.size > f.k:
-                return PropertyVerdict(holds=False, witness=(a, b))
-    return PropertyVerdict(holds=True, witness=None)
+    pair = _first_disjoint_pair(members, n, [f.k - a + 1 for a in range(n + 1)])
+    if pair is None:
+        return PropertyVerdict(holds=True, witness=None)
+    i, j = pair
+    return PropertyVerdict(holds=False, witness=(Subset(members[i], n), Subset(members[j], n)))
 
 
-def _image_masks(f: BoundedFamily, i: int) -> list[int]:
-    """Member-aligned masks after one pushing-up step for element i."""
-    bit = 1 << (i - 1)
-    out = []
-    for member in f.family:
-        pushed = member.mask | bit
-        if pushed == member.mask or f.family.contains_mask(pushed) or member.size == f.k:
-            out.append(member.mask)
-        else:
-            out.append(pushed)
-    return out
+def _image_masks(masks: Iterable[int], present: Container[int], bit: int, k: int) -> list[int]:
+    """Member-aligned masks after one pushing-up step for the element ``bit``."""
+    return [m if m & bit or m | bit in present or m.bit_count() == k else m | bit for m in masks]
 
 
 def push_up(f: BoundedFamily, i: int) -> BoundedFamily:
@@ -127,7 +141,8 @@ def push_up(f: BoundedFamily, i: int) -> BoundedFamily:
     """
     if not 1 <= i <= f.ground_n:
         raise ValueError(f"element i must be in 1..{f.ground_n}, got {i}")
-    image = _image_masks(f, i)
+    masks = f.family.members
+    image = _image_masks(masks, set(masks), 1 << (i - 1), f.k)
     distinct = set(image)
     if len(distinct) != len(image):
         raise RuntimeError("pushing-up collided; it must be injective")
@@ -135,16 +150,20 @@ def push_up(f: BoundedFamily, i: int) -> BoundedFamily:
 
 
 def is_upset(f: BoundedFamily) -> bool:
-    """Upward closure under the cap: adding any one element to a member below size k stays inside."""
-    n = f.ground_n
-    for member in f.family:
-        if member.size >= f.k:
-            continue
-        for b in range(n):
-            grown = member.mask | 1 << b
-            if grown != member.mask and not f.family.contains_mask(grown):
-                return False
-    return True
+    """Upward closure under the cap: adding any one element to a member below size k stays inside.
+
+    Up to MAX_LATTICE_N elements this is n bitmap steps: the members below
+    the cap, shifted onto the sets that add element b, must all be members.
+    """
+    n, k = f.ground_n, f.k
+    masks = f.family.members
+    below = [m for m in masks if m.bit_count() < k]
+    if n > MAX_LATTICE_N:
+        present = set(masks)
+        return all(m | 1 << b in present for m in below for b in range(n) if not m >> b & 1)
+    members = _mask_bitmap(masks, n)
+    grown = _mask_bitmap(below, n)
+    return not any((grown << (1 << b)) & pattern & ~members for b, pattern in enumerate(_element_patterns(n)))
 
 
 @dataclass(frozen=True)
@@ -162,18 +181,23 @@ def to_upset(f: BoundedFamily) -> UpsetResult:
     which is capped by n * |F|, so this terminates.  The fixpoint is an
     upset; an upset input comes back unchanged with an empty log.
     """
-    current = f
+    masks = list(f.family.members)
+    present = set(masks)
     log: list[tuple[int, int]] = []
     changed = True
     while changed:
         changed = False
         for i in range(1, f.ground_n + 1):
-            image = _image_masks(current, i)
-            delta = sum(1 for old, new in zip(current.family.masks(), image) if old != new)
+            image = _image_masks(masks, present, 1 << (i - 1), f.k)
+            delta = sum(map(int.__ne__, masks, image))
             if delta:
                 log.append((i, delta))
-                current = BoundedFamily(SetFamily.from_masks(f.ground_n, set(image)), f.k)
+                masks = image
+                present = set(image)
+                if len(present) != len(image):
+                    raise RuntimeError("pushing-up collided; it must be injective")
                 changed = True
+    current = BoundedFamily(SetFamily.from_masks(f.ground_n, masks), f.k)
     if not is_upset(current):
         raise RuntimeError("pushing-up fixpoint must be an upset")
     return UpsetResult(family=current, log=tuple(log))
@@ -328,8 +352,8 @@ def theorem1_via_ekr(s: NumberSequence) -> EkrVerdict:
     report = enumerate_nonneg(s, with_family=True)
     if report.family is None:
         raise RuntimeError("enumeration with_family=True returned no family")
-    nonempty = [member for member in report.family if member.mask != 0]
-    bounded = BoundedFamily(SetFamily.of(s.n, nonempty), s.k)
+    masks = report.family.members
+    bounded = BoundedFamily(SetFamily(s.n, masks[1:] if masks and masks[0] == 0 else masks), s.k)
     verdict = has_property(bounded)
     cap = bound_main(s.n, s.k) - 1
     size = len(bounded)

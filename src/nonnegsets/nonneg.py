@@ -249,14 +249,11 @@ def enumerate_nonneg(s: NumberSequence, with_family: bool = True) -> NonnegRepor
     if with_family:
         sums = _subset_sums(s.values)
         if isinstance(sums, np.ndarray):
-            nonneg_masks = np.nonzero(sums >= 0)[0]
-            count = int(nonneg_masks.size)
-            masks_iter: Iterable[int] = (int(m) for m in nonneg_masks)
+            masks = np.nonzero(sums >= 0)[0].tolist()
         else:
-            masks_list = [m for m, total in enumerate(sums) if total >= 0]
-            count = len(masks_list)
-            masks_iter = masks_list
-        family = SetFamily(s.n, tuple(Subset(m, s.n) for m in masks_iter))
+            masks = [m for m, total in enumerate(sums) if total >= 0]
+        count = len(masks)
+        family = SetFamily(s.n, tuple(masks))
     else:
         count = int(_count_nonneg_rows([_scaled_int_values(s.values)])[0])
     t = sum(1 for v in s.values if v >= 0)

@@ -2,7 +2,9 @@
 
 Everything downstream trades in subsets of [n] = {1, ..., n}.  A subset is a
 single machine word (n <= 63, element e is bit e-1), a family is a sorted
-tuple of distinct subsets, and the two bound formulas
+tuple of distinct masks, rendered in bulk by ``render_masks`` and checked
+for disjoint pairs on the subset lattice (bitmaps over all 2^n masks) up to
+n = MAX_LATTICE_N, and the two bound formulas
 
     bound_main(n, k)       = C(n-1, 0) + ... + C(n-1, k-1) + 1
     bound_refined(n, k, t) = 2^(t-1) * (C(n-t, 0) + ... + C(n-t, k-t) + 1)
@@ -13,6 +15,7 @@ rounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ from typing import Iterable, Iterator
 __all__ = [
     "MAX_GROUND",
     "MAX_BINOMIAL_N",
+    "MAX_LATTICE_N",
     "FileFormatError",
     "Subset",
     "SetFamily",
@@ -30,6 +34,7 @@ __all__ = [
     "bound_gap",
     "family_is_intersecting",
     "masks_by_size",
+    "render_masks",
     "submasks",
 ]
 
@@ -37,6 +42,12 @@ __all__ = [
 MAX_GROUND = 63
 # binomial() guards its first argument so bound formulas stay in range.
 MAX_BINOMIAL_N = 64
+# Families over at most this many elements are checked on the subset
+# lattice, in bitmaps of 2^n bits; larger ground sets scan member pairs.
+MAX_LATTICE_N = 24
+# render_masks looks the low 10 bits of a mask up in a table of 1024 strings.
+_LOW_BITS = 10
+_LOW_MASK = (1 << _LOW_BITS) - 1
 
 
 class FileFormatError(ValueError):
@@ -49,9 +60,8 @@ class Subset:
 
     Ordering compares mask values first, so any collection of subsets over a
     common ground set sorts the same way on every run.  Rendering is 1-based
-    and sorted: ``str(Subset.of([3, 1], 4)) == "{1,3}"``.  Slotted: a dump
-    builds 2^17 of them, and per-instance dicts made the listing's memory
-    creep over repeated calls.
+    and sorted: ``str(Subset.of([3, 1], 4)) == "{1,3}"``.  Families hold
+    plain masks; a Subset is built only to parse, render or report one set.
     """
 
     mask: int
@@ -116,57 +126,57 @@ class Subset:
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A duplicate-free family of subsets over one ground set.
+    """A duplicate-free family of subsets over one ground set, as sorted masks.
 
-    Members are kept sorted by mask, so equality, iteration order, and
-    rendering are canonical.  Membership tests bisect the mask list.
+    ``members`` is the ascending tuple of member masks, so equality,
+    iteration order, and rendering are canonical.  Iteration yields masks,
+    and ``mask in family`` bisects the tuple.  ``Subset`` objects are built
+    only to parse or render single members.
     """
 
     ground_n: int
-    members: tuple[Subset, ...]
+    members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.ground_n <= MAX_GROUND:
+        n = self.ground_n
+        if not 0 <= n <= MAX_GROUND:
             raise ValueError(f"ground-set size must be in 0..{MAX_GROUND}")
-        prev = -1
-        for s in self.members:
-            if s.n != self.ground_n:
-                raise ValueError(f"member {s} has ground set {s.n}, family has {self.ground_n}")
-            if s.mask == prev:
-                raise ValueError(f"duplicate member {s}")
-            if s.mask < prev:
-                raise ValueError("members must be sorted by mask; use SetFamily.of")
-            prev = s.mask
-        object.__setattr__(self, "_masks", tuple(s.mask for s in self.members))
+        masks = self.members
+        if masks and (masks[0] < 0 or masks[-1] >> n):
+            bad = masks[0] if masks[0] < 0 else masks[-1]
+            raise ValueError(f"mask {bad:#x} has bits outside ground set of size {n}")
+        if not all(map(int.__lt__, masks, masks[1:])):
+            for prev, mask in zip(masks, masks[1:]):
+                if mask == prev:
+                    raise ValueError(f"duplicate member {Subset(mask, n)}")
+            raise ValueError("members must be sorted by mask; use SetFamily.from_masks")
 
     @classmethod
     def of(cls, ground_n: int, subsets: Iterable[Subset]) -> "SetFamily":
-        ordered = sorted(subsets, key=lambda s: s.mask)
-        return cls(ground_n, tuple(ordered))
+        masks = []
+        for s in subsets:
+            if s.n != ground_n:
+                raise ValueError(f"member {s} has ground set {s.n}, family has {ground_n}")
+            masks.append(s.mask)
+        return cls.from_masks(ground_n, masks)
 
     @classmethod
     def from_masks(cls, ground_n: int, masks: Iterable[int]) -> "SetFamily":
-        return cls(ground_n, tuple(Subset(m, ground_n) for m in sorted(masks)))
+        return cls(ground_n, tuple(sorted(masks)))
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self) -> Iterator[Subset]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
-    def __contains__(self, subset: Subset) -> bool:
-        return subset.n == self.ground_n and self.contains_mask(subset.mask)
-
-    def contains_mask(self, mask: int) -> bool:
-        masks: tuple[int, ...] = self._masks  # type: ignore[attr-defined]
+    def __contains__(self, mask: int) -> bool:
+        masks = self.members
         i = bisect_left(masks, mask)
         return i < len(masks) and masks[i] == mask
 
-    def masks(self) -> tuple[int, ...]:
-        return self._masks  # type: ignore[attr-defined]
-
     def render(self) -> str:
-        return "\n".join(str(s) for s in self.members)
+        return "\n".join(render_masks(self.members))
 
     @classmethod
     def parse(cls, text: str, ground_n: int) -> "SetFamily":
@@ -184,6 +194,133 @@ class SetFamily:
             return cls.of(ground_n, subsets)
         except ValueError as exc:
             raise FileFormatError(str(exc)) from exc
+
+
+@functools.cache
+def _low_strings() -> tuple[list[str], list[str]]:
+    """Open ("{1,3,") and closed ("{1,3}") text of every low part, built on first use."""
+    texts = [_elements_text(low, 0) for low in range(1 << _LOW_BITS)]
+    return ["{" + t + "," if t else "{" for t in texts], ["{" + t + "}" for t in texts]
+
+
+def _elements_text(mask: int, offset: int) -> str:
+    return ",".join(str(offset + i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class _HighStrings(dict):
+    """Closing text ("5,7}") of each high part, mask >> _LOW_BITS, made on first lookup."""
+
+    def __missing__(self, high: int) -> str:
+        text = self[high] = _elements_text(high, _LOW_BITS) + "}"
+        return text
+
+
+def render_masks(masks: Iterable[int]) -> list[str]:
+    """``str(Subset(m, n))`` for every mask, in order, without building a Subset.
+
+    A mask's low 10 bits index one of two cached tables, so a family over
+    n <= 10 costs one lookup per member; the text of the rest of the mask
+    is made once per distinct value in each call.
+    """
+    low_open, low_closed = _low_strings()
+    high = _HighStrings()
+    return [low_open[m & _LOW_MASK] + high[m >> _LOW_BITS] if m >> _LOW_BITS else low_closed[m] for m in masks]
+
+
+def _lattice_bytes(n: int) -> int:
+    return max(1 << n >> 3, 1)
+
+
+def _element_patterns(n: int) -> list[int]:
+    """Bitmaps over the 2^n masks of [n]: bit m of the b-th is set iff m has bit b."""
+    nbytes = _lattice_bytes(n)
+    full = (1 << (1 << n)) - 1
+    patterns = []
+    for b in range(n):
+        if b < 3:
+            unit = bytes(((0xAA, 0xCC, 0xF0)[b],))
+        else:
+            unit = bytes(1 << (b - 3)) + b"\xff" * (1 << (b - 3))
+        patterns.append(int.from_bytes(unit * (nbytes // len(unit)), "little") & full)
+    return patterns
+
+
+def _mask_bitmap(masks: Iterable[int], n: int) -> int:
+    """Bitmap over the 2^n masks of [n] with bit m set for every listed mask."""
+    buf = bytearray(_lattice_bytes(n))
+    for m in masks:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _up_closure(bitmap: int, patterns: list[int]) -> int:
+    """Add every superset: one shift/AND/OR step per element (Yates' zeta transform)."""
+    for b, pattern in enumerate(patterns):
+        bitmap |= (bitmap << (1 << b)) & pattern
+    return bitmap
+
+
+def _partner_after(masks: tuple[int, ...], i: int, need: list[int]) -> int | None:
+    a = masks[i]
+    want = need[a.bit_count()]
+    for j in range(i + 1, len(masks)):
+        b = masks[j]
+        if not a & b and b.bit_count() >= want:
+            return j
+    return None
+
+
+def _first_disjoint_pair(masks: tuple[int, ...], n: int, need: list[int]) -> tuple[int, int] | None:
+    """First i < j with masks[i] & masks[j] == 0 and |masks[j]| >= need[|masks[i]|].
+
+    ``masks`` ascend, and need[a] >= 1 for every member size a.  For a
+    symmetric condition (need[a] = k - a + 1, a size sum above k) the
+    first member A that has any such partner is the pair's first member,
+    and it is found on the subset lattice: A has a partner exactly when
+    its complement lies in the up-closure U_s of the members of size
+    >= s = need[|A|].  A scan after A then finds the first partner.
+    Levels s run downwards, so each U_s is the closure of one growing
+    member bitmap, and only one is alive at a time.  Above MAX_LATTICE_N
+    elements every pair is scanned instead.
+    """
+    if n > MAX_LATTICE_N:
+        for i in range(len(masks)):
+            j = _partner_after(masks, i, need)
+            if j is not None:
+                return i, j
+        return None
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    checks: dict[int, list[int]] = {}
+    for m in masks:
+        size = m.bit_count()
+        by_size[size].append(m)
+        checks.setdefault(need[size], []).append(m)
+    patterns = _element_patterns(n)
+    full = (1 << n) - 1
+    members = bytearray(_lattice_bytes(n))
+    placed = 0
+    first = None
+    for s in range(n, 0, -1):
+        for m in by_size[s]:
+            members[m >> 3] |= 1 << (m & 7)
+        placed += len(by_size[s])
+        if not placed or s not in checks or (first is not None and checks[s][0] >= first):
+            continue
+        closed = _up_closure(int.from_bytes(members, "little"), patterns).to_bytes(len(members), "little")
+        for a in checks[s]:
+            if first is not None and a >= first:
+                break
+            c = full ^ a
+            if closed[c >> 3] >> (c & 7) & 1:
+                first = a
+                break
+    if first is None:
+        return None
+    i = bisect_left(masks, first)
+    j = _partner_after(masks, i, need)
+    if j is None:
+        raise RuntimeError("a lattice violator must have a partner after it")
+    return i, j
 
 
 def binomial(n: int, k: int) -> int:
@@ -244,13 +381,7 @@ def bound_gap(n: int, k: int, t: int) -> int:
 
 def family_is_intersecting(family: SetFamily) -> bool:
     """True when every pair of distinct members meets; vacuous for < 2 members."""
-    members = family.members
-    for i in range(len(members)):
-        mi = members[i].mask
-        for j in range(i + 1, len(members)):
-            if not mi & members[j].mask:
-                return False
-    return True
+    return _first_disjoint_pair(family.members, family.ground_n, [1] * (family.ground_n + 1)) is None
 
 
 def masks_by_size(n: int, lo: int, hi: int) -> list[int]:

@@ -75,6 +75,17 @@ def naive_cross_bounded(masks: Sequence[int], k: int) -> bool:
     return True
 
 
+def naive_cross_bound_witness(masks: Sequence[int], k: int) -> tuple[int, int] | None:
+    """First disjoint pair (i < j in the given order) whose sizes sum past k, as masks."""
+    for i in range(len(masks)):
+        a = masks[i]
+        for j in range(i + 1, len(masks)):
+            b = masks[j]
+            if not a & b and bin(a).count("1") + bin(b).count("1") > k:
+                return a, b
+    return None
+
+
 def naive_intersecting(masks: Sequence[int]) -> bool:
     return all(a & b for a, b in itertools.combinations(masks, 2))
 

@@ -1,4 +1,4 @@
-"""End-to-end acceptance suite: ten exact criteria, each with a pinned time budget.
+"""End-to-end acceptance suite: eleven exact criteria, each with a pinned time budget.
 
 Every test prints one summary line
 
@@ -10,10 +10,15 @@ exact equalities or zero-violation sweeps; there are no tolerances.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
 import random
 import time
 from typing import Callable
+
+from nonnegsets.cli import main
 
 from nonnegsets.ekrshift import (
     BoundedFamily,
@@ -21,6 +26,7 @@ from nonnegsets.ekrshift import (
     is_upset,
     max_family_oracle,
     push_up,
+    theorem1_via_ekr,
     to_upset,
     upset_is_intersecting,
 )
@@ -278,3 +284,22 @@ def test_10_compression_invariants():
                             assert upset_is_intersecting(result.family)
 
     _criterion(10, "pushing-up invariants, exhaustive small families", 60, body)
+
+
+def test_11_mask_native_families(tmp_path):
+    seq = tmp_path / "sum_minus_one.seq"
+    # 18 integers summing to -1: of each complementary pair of index sets
+    # exactly one has a nonnegative sum, so 2^17 sets are listed
+    seq.write_text("18 17\n" + "3\n-2\n" * 4 + "1\n0\n0\n0\n" + "-1\n" * 6, encoding="utf-8")
+
+    def body() -> None:
+        verdict = theorem1_via_ekr(extremal_construction(16, 8, 1))
+        assert verdict.passed and verdict.property_holds and verdict.property_witness is None
+        assert verdict.family_size == verdict.cap == bound_main(16, 8) - 1
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--format", "json", "nonneg", "--input", str(seq), "--dump"]) == 0
+        family = json.loads(out.getvalue())["result"]["family"]
+        assert len(family) == len(set(family)) == 1 << 17
+
+    _criterion(11, "extremal (16, 8) cross-bounded, n = 18 dump lists 2^17 sets", 5, body)

@@ -9,6 +9,7 @@ from nonnegsets.ekrshift import (
     BoundedFamily,
     CrossBoundError,
     NotAnUpsetError,
+    PropertyVerdict,
     has_property,
     is_upset,
     max_family_oracle,
@@ -18,10 +19,11 @@ from nonnegsets.ekrshift import (
     upset_is_intersecting,
 )
 from nonnegsets.nonneg import NumberSequence, extremal_construction
-from nonnegsets.setcore import SetFamily, Subset, bound_main, masks_by_size
+from nonnegsets.setcore import MAX_LATTICE_N, SetFamily, Subset, bound_main, family_is_intersecting, masks_by_size
 
 from oracles import (
     brute_max_family,
+    naive_cross_bound_witness,
     naive_cross_bounded,
     naive_intersecting,
     naive_is_upset,
@@ -64,21 +66,120 @@ class TestHasProperty:
     @settings(max_examples=150, deadline=None)
     @given(bounded_families(4))
     def test_matches_naive(self, f):
-        assert has_property(f).holds == naive_cross_bounded(f.family.masks(), f.k)
+        assert has_property(f).holds == naive_cross_bounded(f.family.members, f.k)
+
+
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")
+
+
+@st.composite
+def capped_families(draw, min_n: int = 1, max_n: int = 9, max_members: int = 14):
+    """(n, k, masks): nonempty members of size <= k, with k = n allowed."""
+    n = draw(st.integers(min_n, max_n))
+    k = draw(st.integers(1, n))
+    member = st.sets(st.integers(0, n - 1), min_size=1, max_size=k).map(lambda es: sum(1 << e for e in es))
+    return n, k, sorted(draw(st.sets(member, max_size=max_members)))
+
+
+@st.composite
+def near_upsets(draw, max_n: int = 8):
+    """(n, k, masks): the capped up-closure of a few generators, maybe with one member dropped."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, n))
+    gens = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=3))
+    masks = [
+        m for m in range(1, 1 << n)
+        if _popcount(m) <= k and any(m & g == g for g in gens)
+    ]
+    if masks and draw(st.booleans()):
+        masks.pop(draw(st.integers(0, len(masks) - 1)))
+    return n, k, masks
+
+
+@st.composite
+def wide_upsets(draw):
+    """(n, k, masks) above the lattice cap: size k - 1 bases with all their
+    one-element extensions, plus random k-sets."""
+    n = draw(st.integers(MAX_LATTICE_N + 1, 40))
+    k = draw(st.integers(2, 5))
+    k_set = st.sets(st.integers(0, n - 1), min_size=k, max_size=k).map(lambda es: sum(1 << e for e in es))
+    base = st.sets(st.integers(0, n - 1), min_size=k - 1, max_size=k - 1).map(lambda es: sum(1 << e for e in es))
+    masks = set(draw(st.lists(k_set, max_size=4)))
+    for b in draw(st.lists(base, min_size=1, max_size=2)):
+        masks |= {b} | {b | 1 << e for e in range(n) if not b >> e & 1}
+    return n, k, sorted(masks)
+
+
+class TestLatticeChecks:
+    """The subset-lattice predicates against the pairwise oracles, violations included."""
+
+    def _check(self, n: int, k: int, masks: list[int]) -> None:
+        f = family_of(n, k, masks)
+        expected = naive_cross_bound_witness(masks, k)
+        witness = None if expected is None else (Subset(expected[0], n), Subset(expected[1], n))
+        assert has_property(f) == PropertyVerdict(holds=expected is None, witness=witness)
+        assert family_is_intersecting(f.family) == naive_intersecting(masks)
+        assert is_upset(f) == naive_is_upset(masks, n, k)
+
+    @settings(max_examples=120, deadline=None)
+    @given(capped_families())
+    def test_random_families(self, case):
+        self._check(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(near_upsets())
+    def test_upsets_and_near_upsets(self, case):
+        self._check(*case)
+
+    @settings(max_examples=25, deadline=None)
+    @given(capped_families(min_n=MAX_LATTICE_N + 1, max_n=40, max_members=8))
+    def test_pairwise_scan_above_lattice_cap(self, case):
+        self._check(*case)
+
+    @settings(max_examples=10, deadline=None)
+    @given(wide_upsets())
+    def test_pairwise_upsets_above_lattice_cap(self, case):
+        n, k, masks = case
+        self._check(n, k, masks)
+        for drop in range(len(masks)):
+            self._check(n, k, masks[:drop] + masks[drop + 1:])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=10))))
+    def test_intersecting_with_empty_member(self, case):
+        n, masks = case
+        assert family_is_intersecting(SetFamily.from_masks(n, masks)) == naive_intersecting(sorted(masks))
+
+    def test_examples(self):
+        for n, k in ((1, 1), (4, 4), (MAX_LATTICE_N + 2, 3)):
+            self._check(n, k, [])
+        assert family_is_intersecting(SetFamily.from_masks(3, [0]))
+        assert not family_is_intersecting(SetFamily.from_masks(3, [0, 0b100]))
+        assert not family_is_intersecting(SetFamily.from_masks(30, [0, 1 << 29]))
+        # k = n: {1} and {2,3} sum to 3 <= 3, {1,2} and {3} do not fit k = 2
+        self._check(3, 3, [0b001, 0b110])
+        self._check(3, 2, [0b011, 0b100])
+        # {1} plus every {1, j} is an upset under k = 2 above the lattice cap
+        n = MAX_LATTICE_N + 2
+        star = [1] + [1 | 1 << j for j in range(1, n)]
+        assert is_upset(family_of(n, 2, star))
+        assert not is_upset(family_of(n, 2, star[:-1]))
+        self._check(n, 2, star[:-1] + [0b110])
 
 
 class TestPushUp:
     def test_blocked_by_size_cap(self):
         f = family_of(2, 1, {0b10})
-        assert push_up(f, 1).family.masks() == (0b10,)
+        assert push_up(f, 1).family.members == (0b10,)
 
     def test_grows_when_allowed(self):
         f = family_of(2, 2, {0b10})
-        assert push_up(f, 1).family.masks() == (0b11,)
+        assert push_up(f, 1).family.members == (0b11,)
 
     def test_blocked_when_image_present(self):
         f = family_of(2, 2, {0b01, 0b11})
-        assert push_up(f, 2).family.masks() == (0b01, 0b11)
+        assert push_up(f, 2).family.members == (0b01, 0b11)
 
     def test_element_guard(self):
         with pytest.raises(ValueError):
@@ -119,13 +220,13 @@ class TestIsUpset:
     @settings(max_examples=150, deadline=None)
     @given(bounded_families(4))
     def test_matches_naive(self, f):
-        assert is_upset(f) == naive_is_upset(f.family.masks(), 4, f.k)
+        assert is_upset(f) == naive_is_upset(f.family.members, 4, f.k)
 
 
 class TestToUpset:
     def test_example_run(self):
         result = to_upset(family_of(3, 2, {0b001, 0b010, 0b100}))
-        assert result.family.family.masks() == (0b001, 0b011, 0b101)
+        assert result.family.family.members == (0b001, 0b011, 0b101)
         assert result.log == ((1, 2),)
 
     def test_upset_unchanged(self):
@@ -169,7 +270,7 @@ class TestUpsetIntersecting:
         # {1}, {2}, {1,2} with k = n = 2: cross-bounded upset, not intersecting
         f = family_of(2, 2, {0b01, 0b10, 0b11})
         assert is_upset(f) and has_property(f).holds
-        assert not naive_intersecting(f.family.masks())
+        assert not naive_intersecting(f.family.members)
         with pytest.raises(ValueError, match="k <= n-1"):
             upset_is_intersecting(f)
 
@@ -212,7 +313,7 @@ class TestOracle:
     def test_witness_is_cross_bounded_and_sized(self):
         result = max_family_oracle(5, 3)
         assert len(result.witness) == result.size
-        assert naive_cross_bounded(result.witness.masks(), 3)
+        assert naive_cross_bounded(result.witness.members, 3)
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -334,11 +334,11 @@ class TestPairCounts:
                 assert pc.within_cap
                 assert pc.conflict_edge is None
                 total += pc.count
-                masks = {v.mask for v in gi_family_of_nonneg_vertices(spec, s)}
+                masks = set(gi_family_of_nonneg_vertices(spec, s))
                 assert not masks & seen  # each set lives in exactly one pair
                 seen |= masks
             assert total == report.count
-            assert seen == set(report.family.masks())
+            assert seen == set(report.family.members)
 
 
 class TestCandidateRules:

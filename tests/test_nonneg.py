@@ -206,7 +206,7 @@ class TestEnumerate:
     def test_all_negative(self):
         report = enumerate_nonneg(NumberSequence.of([-1, -2, -3], 1))
         assert report.count == 1
-        assert report.family.masks() == (0,)
+        assert report.family.members == (0,)
 
     def test_zero_heavy_example(self):
         report = enumerate_nonneg(NumberSequence.of([0, 0, 0, 0, -1, -1], 4))
@@ -225,7 +225,7 @@ class TestEnumerate:
                 continue
             checked += 1
             report = enumerate_nonneg(s)
-            assert list(report.family.masks()) == naive_nonneg_masks(values)
+            assert list(report.family.members) == naive_nonneg_masks(values)
             assert report.count == len(report.family)
 
     def test_empty_set_always_counted(self):
@@ -242,7 +242,7 @@ class TestEnumerate:
     def test_fractional_values(self):
         s = NumberSequence.of(["1/2", "-1/3", "-1/3", "-1/3"], 2)
         report = enumerate_nonneg(s)
-        assert list(report.family.masks()) == naive_nonneg_masks(s.values)
+        assert list(report.family.members) == naive_nonneg_masks(s.values)
 
 
 class TestExtremal:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from nonnegsets.setcore import (
     bound_refined,
     family_is_intersecting,
     masks_by_size,
+    render_masks,
     submasks,
 )
 
@@ -61,9 +63,9 @@ class TestSubset:
 class TestSetFamily:
     def test_canonical_order_and_membership(self):
         fam = SetFamily.of(3, [Subset.of([2], 3), Subset.of([1], 3)])
-        assert [s.mask for s in fam] == [1, 2]
-        assert Subset.of([1], 3) in fam
-        assert Subset.of([3], 3) not in fam
+        assert list(fam) == [1, 2]
+        assert Subset.of([1], 3).mask in fam
+        assert Subset.of([3], 3).mask not in fam
         assert len(fam) == 2
 
     def test_duplicates_rejected(self):
@@ -75,6 +77,27 @@ class TestSetFamily:
         assert SetFamily.parse(fam.render(), 4) == fam
         with pytest.raises(FileFormatError):
             SetFamily.parse("{1}\n{1}\n", 4)
+
+
+class TestRenderMasks:
+    def test_every_mask_up_to_12(self):
+        for n in range(13):
+            masks = range(1 << n)
+            assert render_masks(masks) == [str(Subset(m, n)) for m in masks]
+
+    def test_random_masks_on_wide_ground_sets(self):
+        rng = random.Random(26)
+        for n in (19, 20, 63):
+            full = (1 << n) - 1
+            low = (1 << 10) - 1
+            masks = [0, full, full & ~low, low, 1 << (n - 1)]
+            masks += [rng.getrandbits(n) for _ in range(300)]
+            masks += [rng.getrandbits(n) & ~low for _ in range(50)]
+            assert render_masks(masks) == [str(Subset(m, n)) for m in masks]
+
+    def test_family_render_joins_lines(self):
+        fam = SetFamily.from_masks(12, [0, 0b1, 0b1100_0000_0011])
+        assert fam.render() == "{}\n{1}\n{1,2,11,12}"
 
 
 class TestBinomial:
