@@ -13,8 +13,8 @@ i = 1..n drives F to a fixpoint that is an upward-closed family (an upset
 within the size cap).  A cross-bounded upset with k <= n - 1 is
 intersecting, and intersecting families of size <= k sets obey the cap.
 
-Families are sorted masks.  The cross-bound and upset checks run on the
-subset lattice, in bitmaps over all 2^n masks (n <= MAX_LATTICE_N): a
+Families are sorted masks.  For dense families the cross-bound and upset
+checks run on the subset lattice, in bitmaps over all 2^n masks: a
 member A breaks the cross-bound exactly when its complement lies in the
 up-closure of the members of size >= k - |A| + 1, and the family is an
 upset when its members below the cap, shifted onto each element, stay
@@ -38,15 +38,13 @@ from typing import Container, Iterable
 
 from .nonneg import NumberSequence, constraint_holds, enumerate_nonneg
 from .setcore import (
-    MAX_LATTICE_N,
     SetFamily,
     Subset,
-    _element_patterns,
-    _first_disjoint_pair,
-    _mask_bitmap,
     bound_main,
     family_is_intersecting,
+    first_cross_violation,
     masks_by_size,
+    upward_closed,
 )
 
 __all__ = [
@@ -117,20 +115,24 @@ def has_property(f: BoundedFamily) -> PropertyVerdict:
     """Check |A| + |B| <= k for every disjoint pair of members.
 
     The witness is the first violating pair (i < j) in mask order, found
-    on the subset lattice up to MAX_LATTICE_N elements.
+    on the subset lattice for dense families.
     """
     n = f.ground_n
     members = f.family.members
-    pair = _first_disjoint_pair(members, n, [f.k - a + 1 for a in range(n + 1)])
+    pair = first_cross_violation(members, n, f.k)
     if pair is None:
         return PropertyVerdict(holds=True, witness=None)
     i, j = pair
     return PropertyVerdict(holds=False, witness=(Subset(members[i], n), Subset(members[j], n)))
 
 
-def _image_masks(masks: Iterable[int], present: Container[int], bit: int, k: int) -> list[int]:
-    """Member-aligned masks after one pushing-up step for the element ``bit``."""
-    return [m if m & bit or m | bit in present or m.bit_count() == k else m | bit for m in masks]
+def _image_masks(masks: Iterable[int], present: Container[int], bit: int, k: int) -> tuple[list[int], set[int]]:
+    """Member-aligned masks after one pushing-up step for the element ``bit``, and their set."""
+    image = [m if m & bit or m | bit in present or m.bit_count() == k else m | bit for m in masks]
+    distinct = set(image)
+    if len(distinct) != len(image):
+        raise RuntimeError("pushing-up collided; it must be injective")
+    return image, distinct
 
 
 def push_up(f: BoundedFamily, i: int) -> BoundedFamily:
@@ -142,28 +144,16 @@ def push_up(f: BoundedFamily, i: int) -> BoundedFamily:
     if not 1 <= i <= f.ground_n:
         raise ValueError(f"element i must be in 1..{f.ground_n}, got {i}")
     masks = f.family.members
-    image = _image_masks(masks, set(masks), 1 << (i - 1), f.k)
-    distinct = set(image)
-    if len(distinct) != len(image):
-        raise RuntimeError("pushing-up collided; it must be injective")
+    _, distinct = _image_masks(masks, set(masks), 1 << (i - 1), f.k)
     return BoundedFamily(SetFamily.from_masks(f.ground_n, distinct), f.k)
 
 
 def is_upset(f: BoundedFamily) -> bool:
     """Upward closure under the cap: adding any one element to a member below size k stays inside.
 
-    Up to MAX_LATTICE_N elements this is n bitmap steps: the members below
-    the cap, shifted onto the sets that add element b, must all be members.
+    Dense families are checked in n bitmap steps on the subset lattice.
     """
-    n, k = f.ground_n, f.k
-    masks = f.family.members
-    below = [m for m in masks if m.bit_count() < k]
-    if n > MAX_LATTICE_N:
-        present = set(masks)
-        return all(m | 1 << b in present for m in below for b in range(n) if not m >> b & 1)
-    members = _mask_bitmap(masks, n)
-    grown = _mask_bitmap(below, n)
-    return not any((grown << (1 << b)) & pattern & ~members for b, pattern in enumerate(_element_patterns(n)))
+    return upward_closed(f.family.members, f.ground_n, f.k)
 
 
 @dataclass(frozen=True)
@@ -188,14 +178,11 @@ def to_upset(f: BoundedFamily) -> UpsetResult:
     while changed:
         changed = False
         for i in range(1, f.ground_n + 1):
-            image = _image_masks(masks, present, 1 << (i - 1), f.k)
+            image, distinct = _image_masks(masks, present, 1 << (i - 1), f.k)
             delta = sum(map(int.__ne__, masks, image))
             if delta:
                 log.append((i, delta))
-                masks = image
-                present = set(image)
-                if len(present) != len(image):
-                    raise RuntimeError("pushing-up collided; it must be injective")
+                masks, present = image, distinct
                 changed = True
     current = BoundedFamily(SetFamily.from_masks(f.ground_n, masks), f.k)
     if not is_upset(current):

@@ -3,8 +3,9 @@
 Everything downstream trades in subsets of [n] = {1, ..., n}.  A subset is a
 single machine word (n <= 63, element e is bit e-1), a family is a sorted
 tuple of distinct masks, rendered in bulk by ``render_masks`` and checked
-for disjoint pairs on the subset lattice (bitmaps over all 2^n masks) up to
-n = MAX_LATTICE_N, and the two bound formulas
+for disjoint pairs and upward closure on the subset lattice (bitmaps over
+all 2^n masks) when that costs less than a member-level scan, and the two
+bound formulas
 
     bound_main(n, k)       = C(n-1, 0) + ... + C(n-1, k-1) + 1
     bound_refined(n, k, t) = 2^(t-1) * (C(n-t, 0) + ... + C(n-t, k-t) + 1)
@@ -33,18 +34,25 @@ __all__ = [
     "bound_refined",
     "bound_gap",
     "family_is_intersecting",
+    "first_cross_violation",
     "masks_by_size",
     "render_masks",
     "submasks",
+    "upward_closed",
 ]
 
 # Largest ground set whose subsets fit a 64-bit word with room to spare.
 MAX_GROUND = 63
 # binomial() guards its first argument so bound formulas stay in range.
 MAX_BINOMIAL_N = 64
-# Families over at most this many elements are checked on the subset
-# lattice, in bitmaps of 2^n bits; larger ground sets scan member pairs.
+# Largest ground set checked on the subset lattice, in bitmaps of 2^n bits
+# (2 MiB each at n = 24, and n of them hold the element patterns).
 MAX_LATTICE_N = 24
+# One member-level step of a Python scan (a pair test or a set lookup, about
+# 70 ns) costs about as much as this many 64-bit words of lattice work; the
+# timed crossover ranged from 6 to 24 words per step at 16 <= n <= 24, and
+# below n = 16 both sides take well under a millisecond (see _lattice_pays).
+_WORDS_PER_STEP = 16
 # render_masks looks the low 10 bits of a mask up in a table of 1024 strings.
 _LOW_BITS = 10
 _LOW_MASK = (1 << _LOW_BITS) - 1
@@ -260,6 +268,17 @@ def _up_closure(bitmap: int, patterns: list[int]) -> int:
     return bitmap
 
 
+def _lattice_pays(n: int, closures: int, steps: int) -> bool:
+    """Whether ``closures`` up-closures over [n] cost less than ``steps`` member-level steps.
+
+    A member-level step is one pair test or one set lookup in a Python
+    loop; a closure is n shift/AND/OR steps on 2^n-bit integers, counted
+    with one more for the element patterns and member bitmaps.  Ground sets
+    above MAX_LATTICE_N always take the member-level scan.
+    """
+    return n <= MAX_LATTICE_N and steps * _WORDS_PER_STEP > (closures + 1) * n * (1 << n >> 6)
+
+
 def _partner_after(masks: tuple[int, ...], i: int, need: list[int]) -> int | None:
     a = masks[i]
     want = need[a.bit_count()]
@@ -276,25 +295,25 @@ def _first_disjoint_pair(masks: tuple[int, ...], n: int, need: list[int]) -> tup
     ``masks`` ascend, and need[a] >= 1 for every member size a.  For a
     symmetric condition (need[a] = k - a + 1, a size sum above k) the
     first member A that has any such partner is the pair's first member,
-    and it is found on the subset lattice: A has a partner exactly when
-    its complement lies in the up-closure U_s of the members of size
-    >= s = need[|A|].  A scan after A then finds the first partner.
-    Levels s run downwards, so each U_s is the closure of one growing
-    member bitmap, and only one is alive at a time.  Above MAX_LATTICE_N
-    elements every pair is scanned instead.
+    and on the subset lattice it is found without testing pairs: A has a
+    partner exactly when its complement lies in the up-closure U_s of the
+    members of size >= s = need[|A|].  A scan after A then finds the first
+    partner.  Levels s run downwards, so each U_s is the closure of one
+    growing member bitmap, and only one is alive at a time.  Sparse
+    families, and ground sets above MAX_LATTICE_N, test every pair instead.
     """
-    if n > MAX_LATTICE_N:
+    checks: dict[int, list[int]] = {}
+    for m in masks:
+        checks.setdefault(need[m.bit_count()], []).append(m)
+    if not _lattice_pays(n, len(checks), len(masks) * (len(masks) - 1) // 2):
         for i in range(len(masks)):
             j = _partner_after(masks, i, need)
             if j is not None:
                 return i, j
         return None
     by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    checks: dict[int, list[int]] = {}
     for m in masks:
-        size = m.bit_count()
-        by_size[size].append(m)
-        checks.setdefault(need[size], []).append(m)
+        by_size[m.bit_count()].append(m)
     patterns = _element_patterns(n)
     full = (1 << n) - 1
     members = bytearray(_lattice_bytes(n))
@@ -382,6 +401,27 @@ def bound_gap(n: int, k: int, t: int) -> int:
 def family_is_intersecting(family: SetFamily) -> bool:
     """True when every pair of distinct members meets; vacuous for < 2 members."""
     return _first_disjoint_pair(family.members, family.ground_n, [1] * (family.ground_n + 1)) is None
+
+
+def first_cross_violation(masks: tuple[int, ...], n: int, k: int) -> tuple[int, int] | None:
+    """Indices i < j of the first disjoint pair of the ascending ``masks`` over [n] whose sizes sum past k."""
+    return _first_disjoint_pair(masks, n, [k - a + 1 for a in range(n + 1)])
+
+
+def upward_closed(masks: tuple[int, ...], n: int, k: int) -> bool:
+    """True when every member of size below k, grown by any one element of [n], is a member.
+
+    On the subset lattice this is n bitmap steps: the members below k,
+    shifted onto the sets that add element b, must all be members.  Sparse
+    families, and ground sets above MAX_LATTICE_N, look each extension up.
+    """
+    below = [m for m in masks if m.bit_count() < k]
+    if not _lattice_pays(n, 1, len(below) * n):
+        present = set(masks)
+        return all(m | 1 << b in present for m in below for b in range(n) if not m >> b & 1)
+    members = _mask_bitmap(masks, n)
+    grown = _mask_bitmap(below, n)
+    return not any((grown << (1 << b)) & pattern & ~members for b, pattern in enumerate(_element_patterns(n)))
 
 
 def masks_by_size(n: int, lo: int, hi: int) -> list[int]:

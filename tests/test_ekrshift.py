@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from nonnegsets.ekrshift import (
     upset_is_intersecting,
 )
 from nonnegsets.nonneg import NumberSequence, extremal_construction
+from nonnegsets import setcore
 from nonnegsets.setcore import MAX_LATTICE_N, SetFamily, Subset, bound_main, family_is_intersecting, masks_by_size
 
 from oracles import (
@@ -111,16 +113,23 @@ def wide_upsets(draw):
     return n, k, sorted(masks)
 
 
+# Weights for setcore._lattice_pays that force the member-level scan and,
+# up to MAX_LATTICE_N elements, the subset lattice.
+SCAN, LATTICE = 0, 1 << 60
+
+
 class TestLatticeChecks:
-    """The subset-lattice predicates against the pairwise oracles, violations included."""
+    """The lattice and member-level predicates against the pairwise oracles, violations included."""
 
     def _check(self, n: int, k: int, masks: list[int]) -> None:
         f = family_of(n, k, masks)
         expected = naive_cross_bound_witness(masks, k)
         witness = None if expected is None else (Subset(expected[0], n), Subset(expected[1], n))
-        assert has_property(f) == PropertyVerdict(holds=expected is None, witness=witness)
-        assert family_is_intersecting(f.family) == naive_intersecting(masks)
-        assert is_upset(f) == naive_is_upset(masks, n, k)
+        for words in (SCAN, LATTICE):
+            with mock.patch.object(setcore, "_WORDS_PER_STEP", words):
+                assert has_property(f) == PropertyVerdict(holds=expected is None, witness=witness)
+                assert family_is_intersecting(f.family) == naive_intersecting(masks)
+                assert is_upset(f) == naive_is_upset(masks, n, k)
 
     @settings(max_examples=120, deadline=None)
     @given(capped_families())
@@ -149,7 +158,24 @@ class TestLatticeChecks:
     @given(st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=10))))
     def test_intersecting_with_empty_member(self, case):
         n, masks = case
-        assert family_is_intersecting(SetFamily.from_masks(n, masks)) == naive_intersecting(sorted(masks))
+        for words in (SCAN, LATTICE):
+            with mock.patch.object(setcore, "_WORDS_PER_STEP", words):
+                assert family_is_intersecting(SetFamily.from_masks(n, masks)) == naive_intersecting(sorted(masks))
+
+    def test_path_follows_family_density(self):
+        # three sets over [24] are scanned: no 2^24-bit patterns are built
+        sparse = family_of(24, 4, [0b11, 1 << 23 | 0b10, 1 << 23 | 0b10100])
+        with mock.patch.object(setcore, "_element_patterns", side_effect=AssertionError("lattice used")):
+            assert not has_property(sparse).holds
+            assert not is_upset(sparse)
+            assert not family_is_intersecting(sparse.family)
+        # every set of size 1..3 over [10] is dense enough for the lattice
+        dense = family_of(10, 3, masks_by_size(10, 1, 3))
+        with mock.patch.object(setcore, "_element_patterns", wraps=setcore._element_patterns) as patterns:
+            assert not has_property(dense).holds
+            assert is_upset(dense)
+            assert not family_is_intersecting(dense.family)
+        assert patterns.call_count == 3
 
     def test_examples(self):
         for n, k in ((1, 1), (4, 4), (MAX_LATTICE_N + 2, 3)):
