@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from . import ekrshift, hallflow, matching, nonneg, setcore
-from .setcore import FileFormatError, SetFamily
+from .setcore import FileFormatError, SetFamily, Subset
 
 __all__ = ["main", "build_parser"]
 
@@ -159,31 +159,42 @@ def cmd_nonneg(args: argparse.Namespace) -> Outcome:
     return Outcome(EXIT_OK, result, text)
 
 
+def _chain_rule(m: int, r: int) -> matching.CandidateRule:
+    return lambda vertex, side: Subset(matching.chain_partner(vertex.mask, m, r), m)
+
+
 def cmd_matching_disjointness(args: argparse.Namespace) -> Outcome:
     spec = matching.DisjointnessGraphSpec(args.m, args.r)
-    outcome = matching.find_perfect_matching(spec)
+    if args.dump:
+        # Printed pairs come from Hopcroft-Karp on the explicit graph.
+        outcome = matching.find_perfect_matching(spec)
+        pairs = [[str(a), str(b)] for a, b in outcome.matching.pairs]
+        unsat_left = [str(v) for v in outcome.unsaturated_left]
+        unsat_right = [str(v) for v in outcome.unsaturated_right]
+    else:
+        # Only the size is read: the checked chain matching, edgeless (empty) at m = r.
+        pairs = matching.chain_matching(args.m, args.r)
+        unsat_left = unsat_right = [] if pairs else setcore.render_masks(setcore.masks_by_size(args.m, 1, args.r))
+    perfect = not unsat_left and not unsat_right
     result: dict[str, Any] = {
         "m": args.m,
         "r": args.r,
-        "saturated": outcome.perfect,
-        "matching_size": len(outcome.matching),
-        "unsaturated": {
-            "left": [str(v) for v in outcome.unsaturated_left],
-            "right": [str(v) for v in outcome.unsaturated_right],
-        },
+        "saturated": perfect,
+        "matching_size": len(pairs),
+        "unsaturated": {"left": unsat_left, "right": unsat_right},
     }
     text = [
         f"disjointness graph m={args.m} r={args.r}: "
-        + ("perfect matching" if outcome.perfect else "no perfect matching")
-        + f" ({len(outcome.matching)} pairs)"
+        + ("perfect matching" if perfect else "no perfect matching")
+        + f" ({len(pairs)} pairs)"
     ]
-    if not outcome.perfect and outcome.unsaturated_left:
-        text.append(f"first unsaturated left vertex: {outcome.unsaturated_left[0]}")
+    if not perfect and unsat_left:
+        text.append(f"first unsaturated left vertex: {unsat_left[0]}")
     if args.dump:
-        result["pairs"] = [[str(a), str(b)] for a, b in outcome.matching.pairs]
-        text.extend(f"{a} <-> {b}" for a, b in outcome.matching.pairs)
+        result["pairs"] = pairs
+        text.extend(f"{a} <-> {b}" for a, b in pairs)
     if args.rule is not None:
-        rule = {"complement": matching.complement_rule}[args.rule]
+        rule = {"complement": matching.complement_rule, "chain": _chain_rule(args.m, args.r)}[args.rule]
         report = matching.validate_candidate_rule(spec, rule)
         result["rule"] = {
             "name": args.rule,
@@ -344,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_md.add_argument("--m", type=int, required=True)
     p_md.add_argument("--r", type=int, required=True)
     p_md.add_argument("--dump", action="store_true", help="list the matched pairs")
-    p_md.add_argument("--rule", choices=("complement",), default=None)
+    p_md.add_argument("--rule", choices=("complement", "chain"), default=None)
     p_md.set_defaults(handler=cmd_matching_disjointness)
     p_mg = matching_sub.add_parser("gi", help="near-perfect matching of one rooted split graph")
     p_mg.add_argument("--n", type=int, required=True)

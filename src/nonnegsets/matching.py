@@ -18,14 +18,20 @@ matching, lifted: it saturates everything except the two roots, and no
 matched edge can have two nonnegative endpoint sums, which is what caps the
 per-pair count of nonnegative sets.
 
-Matchings are deterministic: vertices are sorted by mask, adjacency lists
-ascending, and the augmenting search scans in that order.
+Two matchings are computed.  Where pairs are printed (``matching
+disjointness --dump`` and ``matching gi``) they come from the explicit graph
+and Hopcroft-Karp, deterministic because vertices are sorted by mask,
+adjacency lists ascend, and the augmenting search scans in that order.
+Where only the matching's existence or size is read (the disjointness
+summary and the per-pair counts) they come from the symmetric-chain rule,
+``chain_partner``, at O(m) per vertex, with every partner checked.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .hallflow import HallVerdict, ReducedGraph, reduced_hall_condition
@@ -44,13 +50,14 @@ __all__ = [
     "PairCount",
     "RuleReport",
     "build_disjointness_graph",
+    "chain_partner",
+    "chain_matching",
     "find_perfect_matching",
     "verify_corollary_hall_blocks",
     "complement_pairs",
     "near_perfect_matching_gi",
     "count_cap_per_pair",
     "hopcroft_karp",
-    "matching_is_valid",
     "validate_candidate_rule",
     "complement_rule",
 ]
@@ -195,24 +202,6 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> tuple[list[int]
     return match_l, match_r
 
 
-def matching_is_valid(graph: BipartiteGraph, matching: Matching) -> bool:
-    """Structural check: pairs are edges and no vertex repeats on either side."""
-    left_index = {s: i for i, s in enumerate(graph.left)}
-    right_index = {s: i for i, s in enumerate(graph.right)}
-    seen_l: set[int] = set()
-    seen_r: set[int] = set()
-    for s, t in matching.pairs:
-        li = left_index.get(s)
-        ri = right_index.get(t)
-        if li is None or ri is None or li in seen_l or ri in seen_r:
-            return False
-        if ri not in graph.adj[li]:
-            return False
-        seen_l.add(li)
-        seen_r.add(ri)
-    return True
-
-
 def _disjoint_edge_targets(
     s_mask: int, m: int, r: int, lo_size: int, index_of: dict[int, int]
 ) -> list[int]:
@@ -253,6 +242,55 @@ def _matching_from_arrays(graph: BipartiteGraph, match_l: list[int]) -> Matching
         unsaturated_left=unsat_l,
         unsaturated_right=unsat_r,
     )
+
+
+def chain_partner(mask: int, m: int, r: int) -> int:
+    """[m] minus psi(S), S's partner in D(m, r)'s symmetric-chain matching (1 <= r < m).
+
+    As brackets, S's elements read ")" and the rest "(".  The a matched pairs
+    size the bottom set of S's chain (de Bruijn, Tengbergen and Kruyswijk),
+    and each unmatched "(" turned to ")", leftmost first, steps up the chain:
+    psi(S) is max(a, m - r) - max(a, 1) steps up.  ``chain_matching`` checks it.
+    """
+    if not 1 <= r < m:
+        raise ValueError(f"D({m}, {r}) has no perfect matching; need 1 <= r < m")
+    opened: list[int] = []  # unmatched "(" positions, ascending
+    for i in range(m):
+        if not mask >> i & 1:
+            opened.append(i)
+        elif opened:
+            opened.pop()
+    a = m - mask.bit_count() - len(opened)
+    for i in opened[: max(a, m - r) - max(a, 1)]:
+        mask |= 1 << i
+    return ((1 << m) - 1) ^ mask
+
+
+def _edge_fault(s: int, t: int, m: int, r: int, used: set[int]) -> str | None:
+    """Why S -> T is not a new matching edge of D(m, r), as a template over {s} and {t}."""
+    size = t.bit_count()
+    if t < 0 or t >> m or not 1 <= size <= r:
+        return "{t} is not a right vertex"
+    if s & t or s.bit_count() + size < r + 1:
+        return "{s} -> {t} is not an edge"
+    return "{t} assigned twice" if t in used else None
+
+
+def chain_matching(m: int, r: int) -> list[tuple[int, int]]:
+    """D(m, r)'s chain matching as (S, T) masks, S ascending; [] at m = r, which has no edges.
+
+    Every partner is checked to be a new edge; a failure raises RuntimeError.
+    """
+    pairs: list[tuple[int, int]] = []
+    used: set[int] = set()
+    for s in masks_by_size(m, 1, r) if r < m else ():
+        t = chain_partner(s, m, r)
+        fault = _edge_fault(s, t, m, r, used)
+        if fault is not None:
+            raise RuntimeError(f"chain matching of D({m}, {r}): " + fault.format(s=Subset(s, m), t=Subset(t, m)))
+        used.add(t)
+        pairs.append((s, t))
+    return pairs
 
 
 def find_perfect_matching(spec: DisjointnessGraphSpec) -> MatchingOutcome:
@@ -462,35 +500,43 @@ def count_cap_per_pair(spec: GiGraphSpec, s: NumberSequence) -> PairCount:
     """Count nonnegative vertices of one split graph against its cap.
 
     The sequence is sorted descending first so that positions 1..t carry its
-    nonnegative values; a mismatch with spec.t is rejected.
+    nonnegative values; a mismatch with spec.t is rejected.  The matching
+    walked is D(n - t, k - t)'s chain matching, lifted by the pair's cores.
     """
     if s.n != spec.n or s.k != spec.k:
         raise ValueError(f"sequence shape ({s.n}, {s.k}) != spec shape ({spec.n}, {spec.k})")
     if not constraint_holds(s):
         raise ValueError("sequence violates the negativity constraint")
-    ordered = s.sorted_desc()
-    t_actual = sum(1 for v in ordered.values if v >= 0)
+    ordered = sorted(s.values, reverse=True)
+    t_actual = sum(1 for v in ordered if v >= 0)
     if t_actual != spec.t:
         raise ValueError(f"sequence has {t_actual} nonnegative values, spec says {spec.t}")
 
-    cap = sum(binomial(spec.n - spec.t, i) for i in range(spec.k - spec.t + 1)) + 1
-    matching = near_perfect_matching_gi(spec)
-    # The roots plus the matched pairs are every vertex, each exactly once.
-    count = (ordered.subset_sum(spec.a_core) >= 0) + (ordered.subset_sum(spec.b_core) >= 0)
+    n, t = spec.n, spec.t
+    cap = sum(binomial(n - t, i) for i in range(spec.k - t + 1)) + 1
+    # A u S is nonnegative iff S's tail sum is at least -sum(A); likewise B u T.
+    a_sum = sum((v for i, v in enumerate(ordered[:t]) if spec.a_mask >> i & 1), start=Fraction(0))
+    a_floor, b_floor = -a_sum, a_sum - sum(ordered[:t], start=Fraction(0))
+    tails = [Fraction(0)]  # tails[mask]: sum of the tail values mask picks from positions t+1..n
+    for v in ordered[t:]:
+        tails += [x + v for x in tails]
+    pairs = chain_matching(n - t, spec.k - t) if spec.k > t else []
+    # The roots plus the lifted pairs are every vertex, each exactly once.
+    count = (a_floor <= 0) + (b_floor <= 0)
     conflict = None
-    for left_v, right_v in matching.pairs:
-        left_ok = ordered.subset_sum(left_v) >= 0
-        right_ok = ordered.subset_sum(right_v) >= 0
+    for s_tail, u_tail in pairs:
+        left_ok = tails[s_tail] >= a_floor
+        right_ok = tails[u_tail] >= b_floor
         count += left_ok + right_ok
         if conflict is None and left_ok and right_ok:
-            conflict = (left_v, right_v)
+            conflict = (Subset(spec.a_mask | s_tail << t, n), Subset(spec.b_mask | u_tail << t, n))
     return PairCount(
         a_core=spec.a_core,
         b_core=spec.b_core,
         count=count,
         cap=cap,
         within_cap=count <= cap,
-        matched_edges=len(matching),
+        matched_edges=len(pairs),
         conflict_edge=conflict,
     )
 
@@ -519,22 +565,19 @@ def validate_candidate_rule(spec: DisjointnessGraphSpec, rule: CandidateRule) ->
     The rule must send every left S to a right vertex adjacent to S,
     injectively.  First failure wins; vertices are scanned in mask order.
     """
-    graph = build_disjointness_graph(spec)
-    right_index = {v: i for i, v in enumerate(graph.right)}
+    m, r = spec.m, spec.r
     used: set[int] = set()
     checked = 0
-    for li, s in enumerate(graph.left):
+    for mask in masks_by_size(m, 1, r):
+        s = Subset(mask, m)
         try:
             target = rule(s, "left")
         except Exception as exc:  # a rule may simply not apply
             return RuleReport(False, checked, s, f"rule raised {type(exc).__name__}: {exc}")
         checked += 1
-        ri = right_index.get(target)
-        if ri is None:
-            return RuleReport(False, checked, s, f"{target} is not a right vertex")
-        if ri not in graph.adj[li]:
-            return RuleReport(False, checked, s, f"{s} -> {target} is not an edge")
-        if ri in used:
-            return RuleReport(False, checked, s, f"{target} assigned twice")
-        used.add(ri)
+        is_vertex = isinstance(target, Subset) and target.n == m
+        fault = _edge_fault(mask, target.mask, m, r, used) if is_vertex else "{t} is not a right vertex"
+        if fault is not None:
+            return RuleReport(False, checked, s, fault.format(s=s, t=target))
+        used.add(target.mask)
     return RuleReport(True, checked, None, None)

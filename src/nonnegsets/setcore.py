@@ -97,18 +97,11 @@ class Subset:
     @classmethod
     def parse(cls, text: str, n: int) -> "Subset":
         """Parse ``{1,3,4}`` (whitespace tolerated); inverse of ``str``."""
-        body = text.strip()
-        if not (body.startswith("{") and body.endswith("}")):
-            raise FileFormatError(f"subset must be brace-delimited, got {text!r}")
-        inner = body[1:-1].strip()
-        if not inner:
+        mask = _parse_mask(text, n)
+        if not mask:
             return cls.empty(n)
         try:
-            elements = [int(part) for part in inner.split(",")]
-        except ValueError as exc:
-            raise FileFormatError(f"bad subset element in {text!r}") from exc
-        try:
-            return cls.of(elements, n)
+            return cls(mask, n)
         except ValueError as exc:
             raise FileFormatError(str(exc)) from exc
 
@@ -188,20 +181,66 @@ class SetFamily:
 
     @classmethod
     def parse(cls, text: str, ground_n: int) -> "SetFamily":
-        """Parse one subset per line; blank lines and ``#`` comments skipped."""
-        subsets = []
+        """Parse one subset per line; blank lines and ``#`` comments skipped.
+
+        Lines become masks directly.  A ground set outside 0..MAX_GROUND
+        takes ``Subset.parse`` per line, so that it fails at the first
+        member exactly as a single subset would.
+        """
+        in_range = 0 <= ground_n <= MAX_GROUND
+        masks = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                subsets.append(Subset.parse(line, ground_n))
+                masks.append(_parse_mask(line, ground_n) if in_range else Subset.parse(line, ground_n).mask)
             except FileFormatError as exc:
                 raise FileFormatError(f"line {lineno}: {exc}") from exc
         try:
-            return cls.of(ground_n, subsets)
+            return cls.from_masks(ground_n, masks)
         except ValueError as exc:
             raise FileFormatError(str(exc)) from exc
+
+
+@functools.cache
+def _element_bits(n: int) -> dict[str, int]:
+    """The bit of each element of [n], keyed by its plain decimal text."""
+    return {str(e): 1 << (e - 1) for e in range(1, n + 1)}
+
+
+def _parse_mask(text: str, n: int) -> int:
+    """The mask of ``{1,3,4}`` over [n]; a malformed set raises FileFormatError.
+
+    Elements written plainly are looked up; any other spelling goes through
+    ``int`` and the range check, which also word the errors.
+    """
+    body = text.strip()
+    if not (body.startswith("{") and body.endswith("}")):
+        raise FileFormatError(f"subset must be brace-delimited, got {text!r}")
+    inner = body[1:-1].strip()
+    if not inner:
+        return 0
+    parts = inner.split(",")
+    bits = _element_bits(min(n, MAX_GROUND))
+    mask = 0
+    for part in parts:
+        bit = bits.get(part)
+        if bit is None:
+            break
+        mask |= bit
+    else:
+        return mask
+    try:
+        elements = [int(part) for part in parts]
+    except ValueError as exc:
+        raise FileFormatError(f"bad subset element in {text!r}") from exc
+    mask = 0
+    for e in elements:
+        if not 1 <= e <= n:
+            raise FileFormatError(f"element {e} outside ground set 1..{n}")
+        mask |= 1 << (e - 1)
+    return mask
 
 
 @functools.cache

@@ -7,7 +7,9 @@ checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -124,3 +126,73 @@ def brute_max_family(n: int, k: int) -> int:
 
     rec(0, [])
     return best
+
+
+def _hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> list[int]:
+    """Left-to-right matches of a maximum matching (-1 for free), by BFS layers and DFS."""
+    match_l = [-1] * len(adj)
+    match_r = [-1] * n_right
+    while True:
+        layer = {u: 0 for u in range(len(adj)) if match_l[u] == -1}
+        frontier = list(layer)
+        reached_free = False
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    w = match_r[v]
+                    if w == -1:
+                        reached_free = True
+                    elif w not in layer:
+                        layer[w] = layer[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        if not reached_free:
+            return match_l
+
+        def dfs(u: int) -> bool:
+            for v in adj[u]:
+                w = match_r[v]
+                if w == -1 or (layer.get(w) == layer[u] + 1 and dfs(w)):
+                    match_l[u], match_r[v] = v, u
+                    return True
+            layer[u] = -1  # dead end for this phase
+            return False
+
+        for u in range(len(adj)):
+            if match_l[u] == -1:
+                dfs(u)
+
+
+@functools.cache
+def _split_graph_matching(m: int, cap: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Tails (index tuples over range(m), size <= cap) and a maximum matching of their
+    disjointness graph: S -- T when S, T are disjoint and |S| + |T| > cap."""
+    tails = [combo for size in range(cap + 1) for combo in itertools.combinations(range(m), size)]
+    index = {combo: i for i, combo in enumerate(tails)}
+    adj = []
+    for s in tails:
+        rest = [e for e in range(m) if e not in s]
+        adj.append([index[c] for size in range(cap + 1 - len(s), cap + 1) for c in itertools.combinations(rest, size)])
+    return tails, _hopcroft_karp(adj, len(tails))
+
+
+def hk_pair_count(values: Sequence[Fraction | int], k: int, t: int, a_mask: int) -> tuple[int, int, int, bool]:
+    """(count, cap, matched edges, conflict?) of one rooted split graph, on its explicit graph.
+
+    Values sorted descending; A and B split positions 0..t-1 by ``a_mask``.
+    Left vertices are A plus a tail S of positions t..n-1 with |S| <= k - t,
+    right vertices B plus a tail T; the matching is Hopcroft-Karp's.
+    """
+    ordered = sorted(values, reverse=True)
+    n = len(ordered)
+    tails, match_l = _split_graph_matching(n - t, k - t)
+    a_sum = sum(ordered[i] for i in range(t) if a_mask >> i & 1)
+    b_sum = sum(ordered[i] for i in range(t) if not a_mask >> i & 1)
+    tail_sums = [sum(ordered[t + e] for e in combo) for combo in tails]
+    left_ok = [a_sum + x >= 0 for x in tail_sums]
+    right_ok = [b_sum + x >= 0 for x in tail_sums]
+    matched = [(u, v) for u, v in enumerate(match_l) if v != -1]
+    conflict = any(left_ok[u] and right_ok[v] for u, v in matched)
+    cap = sum(math.comb(n - t, i) for i in range(k - t + 1)) + 1
+    return sum(left_ok) + sum(right_ok), cap, len(matched), conflict

@@ -199,6 +199,18 @@ class TestMatching:
         assert r["rule"]["valid"] is True
         assert r["rule"]["checked"] == 6
 
+    def test_chain_rule(self, capsys):
+        code, payload = run_json(capsys, "matching", "disjointness", "--m", "6", "--r", "2", "--rule", "chain")
+        assert code == 0
+        r = payload["result"]
+        assert r["saturated"] is True and r["matching_size"] == 6 + 15
+        assert r["rule"] == {
+            "name": "chain", "valid": True, "checked": 21, "failure_vertex": None, "failure_reason": None,
+        }
+        code, out = run(capsys, "matching", "disjointness", "--m", "3", "--r", "3", "--rule", "chain")
+        assert code == 0
+        assert "rule chain: invalid (rule raised ValueError: D(3, 3) has no perfect matching" in out
+
     def test_degenerate_graph(self, capsys):
         code, out = run(capsys, "matching", "disjointness", "--m", "2", "--r", "2")
         assert code == 0

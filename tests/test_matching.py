@@ -5,25 +5,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonnegsets.hallflow import reduce, validate_biregular, weighted_hall_decide
+from nonnegsets import matching
 from nonnegsets.matching import (
     DisjointnessGraphSpec,
     GiGraphSpec,
+    Matching,
     build_disjointness_graph,
+    chain_matching,
+    chain_partner,
     complement_pairs,
     complement_rule,
     count_cap_per_pair,
     find_perfect_matching,
     hopcroft_karp,
-    matching_is_valid,
     near_perfect_matching_gi,
     validate_candidate_rule,
     verify_corollary_hall_blocks,
 )
 from nonnegsets.nonneg import NumberSequence, enumerate_nonneg, extremal_construction
-from nonnegsets.setcore import Subset, binomial, bound_refined
+from nonnegsets.setcore import Subset, binomial, bound_refined, masks_by_size
 
-from graphgen import build_blocked_disjointness_graph, build_gi_graph, gi_family_of_nonneg_vertices
-from oracles import naive_max_matching
+from graphgen import (
+    build_blocked_disjointness_graph,
+    build_gi_graph,
+    gi_family_of_nonneg_vertices,
+    matching_is_valid,
+)
+from oracles import hk_pair_count, naive_max_matching
 
 
 class TestSpecs:
@@ -372,3 +380,99 @@ class TestCandidateRules:
         report = validate_candidate_rule(DisjointnessGraphSpec(3, 2), rule)
         assert not report.valid
         assert report.failure_reason.startswith("rule raised KeyError")
+
+
+def _shifted_partner(mask: int, m: int, r: int, delta: int) -> int:
+    """The chain partner with its size shift moved by ``delta``, written out independently."""
+    word = [mask >> i & 1 for i in range(m)]
+    unmatched: list[int] = []
+    pairs = 0
+    for i, inside in enumerate(word):
+        if not inside:
+            unmatched.append(i)
+        elif unmatched:
+            unmatched.pop()
+            pairs += 1
+    shift = max(0, max(pairs, m - r) - max(pairs, 1) + delta)
+    up = mask | sum(1 << i for i in unmatched[:shift])
+    return (1 << m) - 1 - up
+
+
+def _rule(m: int, r: int, delta: int = 0):
+    return lambda v, side: Subset(_shifted_partner(v.mask, m, r, delta), m)
+
+
+class TestChainMatching:
+    def test_perfect_matching_of_explicit_graph(self):
+        for m in range(2, 13):
+            for r in range(1, m):
+                graph = build_disjointness_graph(DisjointnessGraphSpec(m, r))
+                pairs = chain_matching(m, r)
+                vertex = {v.mask: v for v in graph.left}
+                found = Matching(tuple((vertex[s], vertex[t]) for s, t in pairs))
+                assert matching_is_valid(graph, found), (m, r)
+                # Both sides saturated: every vertex once on the left, once on the right.
+                assert [s for s, _ in pairs] == [v.mask for v in graph.left]
+                assert sorted(t for _, t in pairs) == [v.mask for v in graph.right]
+
+    def test_edgeless_case_is_empty(self):
+        for m in range(1, 8):
+            assert chain_matching(m, m) == []
+        with pytest.raises(ValueError):
+            chain_partner(1, 3, 3)
+
+    def test_equals_complement_rule_at_r_m_minus_1(self):
+        for m in range(2, 11):
+            for mask in masks_by_size(m, 1, m - 1):
+                assert chain_partner(mask, m, m - 1) == complement_rule(Subset(mask, m), "left").mask
+
+    def test_matches_independent_copy(self):
+        for m in range(2, 10):
+            for r in range(1, m):
+                for mask in masks_by_size(m, 1, r):
+                    assert chain_partner(mask, m, r) == _shifted_partner(mask, m, r, 0)
+
+    def test_chain_rule_validates_at_every_r_below_m(self):
+        for m in range(2, 11):
+            for r in range(1, m):
+                report = validate_candidate_rule(DisjointnessGraphSpec(m, r), _rule(m, r))
+                assert report.valid, (m, r, report.failure_reason)
+                assert report.checked == sum(binomial(m, i) for i in range(1, r + 1))
+
+    def test_shift_off_by_one_fails(self):
+        for m in range(2, 10):
+            for r in range(1, m):
+                assert not validate_candidate_rule(DisjointnessGraphSpec(m, r), _rule(m, r, 1)).valid
+                # At r = m - 1 every shift is already 0, so one less changes nothing.
+                lower = validate_candidate_rule(DisjointnessGraphSpec(m, r), _rule(m, r, -1))
+                assert lower.valid == (r == m - 1), (m, r)
+
+    def test_bad_partner_raises_at_run_time(self, monkeypatch):
+        monkeypatch.setattr(matching, "chain_partner", lambda mask, m, r: _shifted_partner(mask, m, r, 1))
+        with pytest.raises(RuntimeError, match="chain matching of D"):
+            chain_matching(6, 3)
+        s = extremal_construction(8, 5, 2)
+        with pytest.raises(RuntimeError):
+            count_cap_per_pair(GiGraphSpec(8, 5, 2, 1), s)
+
+
+def _random_values(rng: random.Random, n: int, k: int, t: int) -> list[int]:
+    """n integers, exactly t of them nonnegative, whose k + 1 largest sum negative."""
+    nonneg = [rng.randint(0, 3) for _ in range(t)]
+    c = -(-(sum(nonneg) + 1) // (k + 1 - t))  # every negative at most -c keeps the constraint
+    return nonneg + [-rng.randint(c, c + 2) for _ in range(n - t)]
+
+
+class TestPairCountOracle:
+    def test_every_spec_up_to_n10_equals_hopcroft_karp(self):
+        rng = random.Random(27)
+        for n in range(2, 11):
+            for k in range(1, n):
+                for t in range(1, k + 1):
+                    extremal = [k - t] + [0] * (t - 1) + [-1] * (n - t)
+                    for values in (extremal, _random_values(rng, n, k, t)):
+                        s = NumberSequence.of(values, k)
+                        for a_mask, _ in complement_pairs(t):
+                            pc = count_cap_per_pair(GiGraphSpec(n, k, t, a_mask), s)
+                            got = (pc.count, pc.cap, pc.matched_edges, pc.conflict_edge is not None)
+                            assert got == hk_pair_count(values, k, t, a_mask), (values, k, a_mask)

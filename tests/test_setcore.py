@@ -78,6 +78,26 @@ class TestSetFamily:
         with pytest.raises(FileFormatError):
             SetFamily.parse("{1}\n{1}\n", 4)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{1}\n\n1,2\n", "line 3: subset must be brace-delimited, got '1,2'"),
+            ("# c\n{1,x}\n", "line 2: bad subset element in '{1,x}'"),
+            ("{1}\n{2,5}\n", "line 2: element 5 outside ground set 1..4"),
+            ("{ 0 }\n", "line 1: element 0 outside ground set 1..4"),
+            ("{2,x,9}\n", "line 1: bad subset element in '{2,x,9}'"),
+            ("{1,2}\n{3}\n{ 2 , 1 }\n", "duplicate member {1,2}"),
+        ],
+    )
+    def test_parse_errors_keep_their_messages(self, text, message):
+        with pytest.raises(FileFormatError) as info:
+            SetFamily.parse(text, 4)
+        assert str(info.value) == message
+
+    def test_parse_reads_every_spelling_of_an_element(self):
+        fam = SetFamily.parse("{1, 3}\n{+2,04}\n{}\n{3,3}\n", 4)
+        assert fam.members == (0, 0b0100, 0b0101, 0b1010)
+
 
 class TestRenderMasks:
     def test_every_mask_up_to_12(self):
