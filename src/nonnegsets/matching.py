@@ -18,24 +18,21 @@ matching, lifted: it saturates everything except the two roots, and no
 matched edge can have two nonnegative endpoint sums, which is what caps the
 per-pair count of nonnegative sets.
 
-Two matchings are computed.  Where pairs are printed (``matching
-disjointness --dump`` and ``matching gi``) they come from the explicit graph
-and Hopcroft-Karp, deterministic because vertices are sorted by mask,
-adjacency lists ascend, and the augmenting search scans in that order.
-Where only the matching's existence or size is read (the disjointness
-summary and the per-pair counts) they come from the symmetric-chain rule,
-``chain_partner``, at O(m) per vertex, with every partner checked.
+Printed pairs (``matching disjointness --dump``, ``matching gi``) come from
+Hopcroft-Karp on the explicit graph: vertices sorted by mask, adjacency
+ascending, the augmenting search scanning in that order.  The disjointness
+summary and the per-pair counts read the checked symmetric-chain rule,
+``chain_partner``, at O(m) per vertex.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .hallflow import HallVerdict, ReducedGraph, reduced_hall_condition
-from .nonneg import NumberSequence, constraint_holds
+from .nonneg import NumberSequence, _list_subset_sums, _scaled_int_values, constraint_holds
 from .setcore import Subset, binomial, masks_by_size, submasks
 
 __all__ = [
@@ -58,6 +55,7 @@ __all__ = [
     "near_perfect_matching_gi",
     "count_cap_per_pair",
     "hopcroft_karp",
+    "matching_is_valid",
     "validate_candidate_rule",
     "complement_rule",
 ]
@@ -200,6 +198,24 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> tuple[list[int]
             if match_l[u] == -1:
                 augment(u)
     return match_l, match_r
+
+
+def matching_is_valid(graph: BipartiteGraph, matching: Matching) -> bool:
+    """Structural check: pairs are edges and no vertex repeats on either side."""
+    left_index = {s: i for i, s in enumerate(graph.left)}
+    right_index = {s: i for i, s in enumerate(graph.right)}
+    seen_l: set[int] = set()
+    seen_r: set[int] = set()
+    for s, t in matching.pairs:
+        li = left_index.get(s)
+        ri = right_index.get(t)
+        if li is None or ri is None or li in seen_l or ri in seen_r:
+            return False
+        if ri not in graph.adj[li]:
+            return False
+        seen_l.add(li)
+        seen_r.add(ri)
+    return True
 
 
 def _disjoint_edge_targets(
@@ -515,11 +531,10 @@ def count_cap_per_pair(spec: GiGraphSpec, s: NumberSequence) -> PairCount:
     n, t = spec.n, spec.t
     cap = sum(binomial(n - t, i) for i in range(spec.k - t + 1)) + 1
     # A u S is nonnegative iff S's tail sum is at least -sum(A); likewise B u T.
-    a_sum = sum((v for i, v in enumerate(ordered[:t]) if spec.a_mask >> i & 1), start=Fraction(0))
-    a_floor, b_floor = -a_sum, a_sum - sum(ordered[:t], start=Fraction(0))
-    tails = [Fraction(0)]  # tails[mask]: sum of the tail values mask picks from positions t+1..n
-    for v in ordered[t:]:
-        tails += [x + v for x in tails]
+    scaled = _scaled_int_values(ordered)
+    a_sum = sum(v for i, v in enumerate(scaled[:t]) if spec.a_mask >> i & 1)
+    a_floor, b_floor = -a_sum, a_sum - sum(scaled[:t])
+    tails = _list_subset_sums(scaled[t:])  # tails[mask]: the tail values mask picks from positions t+1..n
     pairs = chain_matching(n - t, spec.k - t) if spec.k > t else []
     # The roots plus the lifted pairs are every vertex, each exactly once.
     count = (a_floor <= 0) + (b_floor <= 0)

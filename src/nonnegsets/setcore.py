@@ -203,36 +203,16 @@ class SetFamily:
             raise FileFormatError(str(exc)) from exc
 
 
-@functools.cache
-def _element_bits(n: int) -> dict[str, int]:
-    """The bit of each element of [n], keyed by its plain decimal text."""
-    return {str(e): 1 << (e - 1) for e in range(1, n + 1)}
-
-
 def _parse_mask(text: str, n: int) -> int:
-    """The mask of ``{1,3,4}`` over [n]; a malformed set raises FileFormatError.
-
-    Elements written plainly are looked up; any other spelling goes through
-    ``int`` and the range check, which also word the errors.
-    """
+    """The mask of ``{1,3,4}`` over [n]; a malformed set raises FileFormatError."""
     body = text.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise FileFormatError(f"subset must be brace-delimited, got {text!r}")
     inner = body[1:-1].strip()
     if not inner:
         return 0
-    parts = inner.split(",")
-    bits = _element_bits(min(n, MAX_GROUND))
-    mask = 0
-    for part in parts:
-        bit = bits.get(part)
-        if bit is None:
-            break
-        mask |= bit
-    else:
-        return mask
     try:
-        elements = [int(part) for part in parts]
+        elements = [int(part) for part in inner.split(",")]
     except ValueError as exc:
         raise FileFormatError(f"bad subset element in {text!r}") from exc
     mask = 0

@@ -4,8 +4,7 @@ Nothing in the package needs these.  The blocked generators build inputs
 that the unit and acceptance tests feed to ``nonnegsets.hallflow``.  The
 explicit builders enumerate the blocked disjointness graph and the rooted
 split graphs edge by edge; the package uses the closed forms instead, and
-the tests check those against these oracles.  ``matching_is_valid`` checks
-a matching's pairs against an explicit graph.
+the tests check those against these oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from math import gcd
 from typing import Iterable
 
 from nonnegsets.hallflow import Edge, PartitionedBipartiteGraph
-from nonnegsets.matching import BipartiteGraph, DisjointnessGraphSpec, GiGraphSpec, Matching
+from nonnegsets.matching import BipartiteGraph, DisjointnessGraphSpec, GiGraphSpec
 from nonnegsets.nonneg import NumberSequence
 from nonnegsets.setcore import SetFamily, Subset, binomial, masks_by_size, submasks
 
@@ -129,21 +128,3 @@ def gi_family_of_nonneg_vertices(spec: GiGraphSpec, s: NumberSequence) -> SetFam
     members = [v for v in graph.left if ordered.subset_sum(v) >= 0]
     members.extend(v for v in graph.right if ordered.subset_sum(v) >= 0)
     return SetFamily.of(spec.n, members)
-
-
-def matching_is_valid(graph: BipartiteGraph, matching: Matching) -> bool:
-    """Structural check: pairs are edges and no vertex repeats on either side."""
-    left_index = {s: i for i, s in enumerate(graph.left)}
-    right_index = {s: i for i, s in enumerate(graph.right)}
-    seen_l: set[int] = set()
-    seen_r: set[int] = set()
-    for s, t in matching.pairs:
-        li = left_index.get(s)
-        ri = right_index.get(t)
-        if li is None or ri is None or li in seen_l or ri in seen_r:
-            return False
-        if ri not in graph.adj[li]:
-            return False
-        seen_l.add(li)
-        seen_r.add(ri)
-    return True
